@@ -1,24 +1,34 @@
-//! Cache-aware batch analysis: consult the content-addressed store before
-//! lexing, publish verdicts on miss.
+//! Source to payload: the one analysis path, with an optional
+//! content-addressed store consulted before lexing and published to on
+//! miss.
+//!
+//! Every caller that turns source text into features — training, the
+//! experiments, the CLI, the serve daemon — goes through
+//! [`analyze_many_opt_cached`] or [`analyze_one_cached`], so the analysis
+//! a service runs is the one the offline evaluation measured.
 //!
 //! A cache hit replays the *distilled* verdict — the three-way outcome,
 //! the typed failure for quarantined scripts, and the space-independent
 //! [`FeaturePayload`] — not the full AST. That is deliberate: everything
-//! downstream of a batch scan (vectorization, quarantine reporting,
-//! outcome accounting) runs off exactly those fields, and storing ASTs
-//! would tie cache records to parser internals. Misses run the same
-//! hardened path as [`analyze_many_guarded`](crate::analyze_many_guarded)
-//! and publish the result, so a second scan over unchanged bytes touches
-//! neither the lexer nor the parser.
+//! downstream of analysis (vectorization, quarantine reporting, outcome
+//! accounting) runs off exactly those fields, and storing ASTs would tie
+//! cache records to parser internals. A second scan over unchanged bytes
+//! touches neither the lexer nor the parser.
+//!
+//! Batches are spread over all cores with a shared atomic claim counter
+//! instead of static chunking: obfuscated samples are 10–100× slower to
+//! analyze than regular ones, so pre-partitioned chunks would let one
+//! pathological script idle every other thread.
 
 use crate::config::AnalysisConfig;
-use crate::vectorize::run_stealing;
 use jsdetect_cache::{AnalysisCache, CacheRecord, ContentHash};
 use jsdetect_features::{analyze_script_guarded, FeaturePayload, GuardedScript, VectorSpace};
-use jsdetect_guard::{isolate, OutcomeKind};
+use jsdetect_guard::OutcomeKind;
 use jsdetect_obs::names;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-/// One script's verdict as produced by [`analyze_many_cached`]: either
+/// One script's verdict as produced by [`analyze_one_cached`]: either
 /// replayed from the store or freshly computed (and published).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedScript {
@@ -44,51 +54,85 @@ impl CachedScript {
     pub fn vectorize(&self, space: &VectorSpace) -> Option<Vec<f32>> {
         self.payload.as_ref().map(|p| space.vectorize_payload(p))
     }
-}
 
-fn distill(hash: ContentHash, g: &GuardedScript, from_cache: bool) -> CachedScript {
-    CachedScript {
-        hash,
-        outcome: g.outcome,
-        error_kind: g.error.as_ref().map(|e| e.kind().to_string()).unwrap_or_default(),
-        error_msg: g.error.as_ref().map(|e| e.to_string()).unwrap_or_default(),
-        payload: g.analysis.as_ref().map(FeaturePayload::extract),
-        from_cache,
+    /// Distills a fresh analysis into its verdict (`from_cache: false`).
+    pub fn distill(hash: ContentHash, g: &GuardedScript) -> CachedScript {
+        CachedScript {
+            hash,
+            outcome: g.outcome,
+            error_kind: g.error.as_ref().map(|e| e.kind().to_string()).unwrap_or_default(),
+            error_msg: g.error.as_ref().map(|e| e.to_string()).unwrap_or_default(),
+            payload: g.analysis.as_ref().map(FeaturePayload::extract),
+            from_cache: false,
+        }
+    }
+
+    /// Replays a stored record as a verdict (`from_cache: true`).
+    pub fn replay(hash: ContentHash, rec: &CacheRecord) -> CachedScript {
+        CachedScript {
+            hash,
+            outcome: rec.outcome,
+            error_kind: rec.error_kind.clone(),
+            error_msg: rec.error_msg.clone(),
+            payload: rec.payload.clone(),
+            from_cache: true,
+        }
     }
 }
 
-fn replay(hash: ContentHash, rec: &CacheRecord) -> CachedScript {
-    CachedScript {
-        hash,
-        outcome: rec.outcome,
-        error_kind: rec.error_kind.clone(),
-        error_msg: rec.error_msg.clone(),
-        payload: rec.payload.clone(),
-        from_cache: true,
+/// Runs `work(i)` for every `i in 0..n` across all cores with
+/// work-stealing, delivering results to `sink(i, result)` on the calling
+/// thread (in completion order, not index order).
+fn run_stealing<T, W, S>(n: usize, work: W, mut sink: S)
+where
+    T: Send,
+    W: Fn(usize) -> T + Sync,
+    S: FnMut(usize, T),
+{
+    if n == 0 {
+        return;
     }
+    let n_threads =
+        std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4).min(n).max(1);
+    jsdetect_obs::gauge_set(names::GAUGE_ANALYZE_THREADS, n_threads as f64);
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..n_threads {
+            let tx = tx.clone();
+            let next = &next;
+            let work = &work;
+            scope.spawn(move |_| {
+                // Streaming telemetry is visible the moment it is
+                // recorded; the guard pre-registers this worker's cells
+                // and marks the collection scope structurally.
+                let _obs = jsdetect_obs::ScopedCollector::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, work(i))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        for (i, r) in rx.iter() {
+            sink(i, r);
+        }
+    })
+    .expect("analysis threads panicked");
 }
 
-/// Analyzes many scripts in parallel, consulting `cache` before any
-/// lexing or parsing and publishing fresh verdicts on miss.
+/// Analyzes many scripts in parallel, consulting `cache` (when given)
+/// before any lexing or parsing and publishing fresh verdicts on miss.
+/// `None` runs the same guarded analysis and distillation without
+/// consulting or publishing anywhere.
 ///
-/// Equivalent to [`analyze_many_guarded`](crate::analyze_many_guarded)
-/// followed by payload extraction: outcomes are identical, and payloads
-/// vectorize bit-identically whether replayed or freshly computed. The
-/// cache's own preset must match `config.limits` (callers normally build
-/// it with `CacheConfig::new(dir, &config.limits)`); a mismatched store
-/// simply never hits, it cannot replay a wrong verdict.
-pub fn analyze_many_cached(
-    srcs: &[&str],
-    config: &AnalysisConfig,
-    cache: &AnalysisCache,
-) -> Vec<CachedScript> {
-    analyze_many_opt_cached(srcs, config, Some(cache))
-}
-
-/// [`analyze_many_cached`] with the store optional: `None` runs the same
-/// hardened path and distillation without consulting or publishing
-/// anywhere. This is the single batch entry the daemon, the CLI, and the
-/// examples share, so server and offline sweeps cannot drift.
+/// Outcomes are identical either way, and payloads vectorize
+/// bit-identically whether replayed or freshly computed. The cache's own
+/// preset must match `config.limits` (callers normally build it with
+/// `CacheConfig::new(dir, &config.limits)`); a mismatched store simply
+/// never hits, it cannot replay a wrong verdict.
 pub fn analyze_many_opt_cached(
     srcs: &[&str],
     config: &AnalysisConfig,
@@ -114,16 +158,9 @@ pub fn analyze_one_cached(
 ) -> CachedScript {
     let hash = ContentHash::of(src.as_bytes());
     if let Some(rec) = cache.and_then(|c| c.get(&hash)) {
-        return replay(hash, &rec);
+        return CachedScript::replay(hash, &rec);
     }
-    let guarded = match isolate("analyze", || analyze_script_guarded(src, &config.limits)) {
-        Ok(g) => g,
-        Err(e) => {
-            jsdetect_obs::counter_add(e.counter_name(), 1);
-            GuardedScript { analysis: None, outcome: OutcomeKind::Rejected, error: Some(e) }
-        }
-    };
-    let result = distill(hash, &guarded, false);
+    let result = CachedScript::distill(hash, &analyze_script_guarded(src, &config.limits));
     if let Some(cache) = cache {
         cache.put(
             &hash,
@@ -141,7 +178,6 @@ pub fn analyze_one_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_many_guarded;
     use jsdetect_cache::CacheConfig;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -165,7 +201,7 @@ mod tests {
         let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
         let srcs = ["var x = 1; f(x);", "var ;;; broken", bomb.as_str()];
 
-        let cold = analyze_many_cached(&srcs, &config, &cache);
+        let cold = analyze_many_opt_cached(&srcs, &config, Some(&cache));
         assert!(cold.iter().all(|c| !c.from_cache));
         assert_eq!(cold[0].outcome, OutcomeKind::Ok);
         assert_eq!(cold[1].outcome, OutcomeKind::Degraded);
@@ -175,7 +211,7 @@ mod tests {
 
         // Fresh handle: memory cold, disk warm.
         let cache2 = AnalysisCache::open(CacheConfig::new(&dir, &config.limits)).unwrap();
-        let warm = analyze_many_cached(&srcs, &config, &cache2);
+        let warm = analyze_many_opt_cached(&srcs, &config, Some(&cache2));
         assert!(warm.iter().all(|c| c.from_cache));
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.outcome, w.outcome);
@@ -187,17 +223,29 @@ mod tests {
     }
 
     #[test]
-    fn cached_outcomes_match_the_uncached_guarded_path() {
+    fn cached_outcomes_match_the_storeless_path() {
         let dir = scratch();
         let config = AnalysisConfig::default();
         let cache = AnalysisCache::open(CacheConfig::new(&dir, &config.limits)).unwrap();
         let srcs = ["var x = 1;", "function f(a) { return a + 1; }", "var ;;; broken"];
-        let cached = analyze_many_cached(&srcs, &config, &cache);
-        let guarded = analyze_many_guarded(&srcs, &config);
-        for (c, g) in cached.iter().zip(&guarded) {
-            assert_eq!(c.outcome, g.outcome);
-            assert_eq!(c.payload, g.analysis.as_ref().map(FeaturePayload::extract));
+        let cached = analyze_many_opt_cached(&srcs, &config, Some(&cache));
+        let storeless = analyze_many_opt_cached(&srcs, &config, None);
+        for (c, s) in cached.iter().zip(&storeless) {
+            assert_eq!(c.outcome, s.outcome);
+            assert_eq!(c.payload, s.payload);
+            assert!(!s.from_cache);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn work_stealing_covers_many_more_items_than_threads() {
+        let srcs: Vec<String> = (0..97).map(|i| format!("var v{} = {};", i, i)).collect();
+        let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        let out = analyze_many_opt_cached(&refs, &AnalysisConfig::trusted(), None);
+        assert_eq!(out.len(), 97);
+        assert!(out.iter().all(|c| c.outcome == OutcomeKind::Ok));
+        // Results land at their input index, not in completion order.
+        assert_eq!(out[42].hash, ContentHash::of(refs[42].as_bytes()));
     }
 }

@@ -9,7 +9,7 @@
 //! a request served by the daemon classifies bit-identically to the same
 //! script in an offline sweep.
 
-use crate::cached::{analyze_many_opt_cached, analyze_one_cached, CachedScript};
+use crate::cached::{analyze_many_opt_cached, CachedScript};
 use crate::config::AnalysisConfig;
 use crate::level1::Level1Prediction;
 use crate::pipeline::TrainedDetectors;
@@ -102,23 +102,9 @@ pub fn classify_many_cached(
         .collect()
 }
 
-/// Classifies one script (the daemon's per-request path: same analysis and
-/// inference as [`classify_many_cached`], without the batch driver).
-pub fn classify_one_cached(
-    src: &str,
-    config: &AnalysisConfig,
-    cache: Option<&AnalysisCache>,
-    detectors: &TrainedDetectors,
-    top_k: usize,
-    threshold: f32,
-) -> ScriptVerdict {
-    let analyzed = analyze_one_cached(src, config, cache);
-    classify_analyzed(analyzed, detectors, top_k, threshold)
-}
-
-/// Classifies an already-analyzed script (used when the caller produced
-/// the [`CachedScript`] through a non-standard path, e.g. the daemon's
-/// breaker-degraded lexer-only mode).
+/// Classifies one already-analyzed script (the daemon's per-request path:
+/// [`analyze_one_cached`](crate::analyze_one_cached) or its breaker-degraded
+/// lexer-only mode, then the same inference as [`classify_many_cached`]).
 pub fn classify_analyzed(
     analyzed: CachedScript,
     detectors: &TrainedDetectors,
@@ -179,14 +165,8 @@ mod tests {
             4,
             crate::DEFAULT_THRESHOLD,
         );
-        let one = classify_one_cached(
-            src,
-            &AnalysisConfig::default(),
-            None,
-            detectors(),
-            4,
-            crate::DEFAULT_THRESHOLD,
-        );
+        let analyzed = crate::analyze_one_cached(src, &AnalysisConfig::default(), None);
+        let one = classify_analyzed(analyzed, detectors(), 4, crate::DEFAULT_THRESHOLD);
         let b = &batch[0];
         assert_eq!(b.outcome, one.outcome);
         assert_eq!(b.level1, one.level1);

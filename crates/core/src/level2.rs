@@ -2,12 +2,10 @@
 //! used (paper §III-C).
 
 use crate::config::DetectorConfig;
-use crate::vectorize::{analyze_many, vectorize_dataset};
-use jsdetect_features::VectorSpace;
-use jsdetect_ml::metrics::thresholded_top_k;
-use jsdetect_ml::{Dataset, MultiLabel};
+use crate::level1::{batch_payload_proba, fit_dataset, named_importances};
+use jsdetect_features::{FeaturePayload, VectorSpace};
+use jsdetect_ml::MultiLabel;
 use jsdetect_obs::names;
-use jsdetect_parser::ParseError;
 use jsdetect_transform::Technique;
 use serde::{Deserialize, Serialize};
 
@@ -22,68 +20,20 @@ pub struct Level2Detector {
 }
 
 impl Level2Detector {
-    /// Trains on `(source, technique-label-vector)` pairs; label vectors
+    /// Trains on `(payload, technique-label-vector)` pairs; label vectors
     /// are indexed by [`Technique::index`].
-    pub fn train(samples: &[(&str, Vec<bool>)], cfg: &DetectorConfig) -> Self {
-        let srcs: Vec<&str> = samples.iter().map(|(s, _)| *s).collect();
-        let analyses = analyze_many(&srcs);
-        let kept: Vec<(&jsdetect_features::ScriptAnalysis, Vec<bool>)> = analyses
-            .iter()
-            .zip(samples)
-            .filter_map(|(a, (_, labels))| a.as_ref().map(|a| (a, labels.clone())))
-            .collect();
-        Self::train_from_analyses(&kept, cfg)
-    }
-
-    /// Trains from pre-computed analyses (lets callers share one analysis
-    /// pass between the level-1 and level-2 detectors).
-    pub fn train_from_analyses(
-        samples: &[(&jsdetect_features::ScriptAnalysis, Vec<bool>)],
-        cfg: &DetectorConfig,
-    ) -> Self {
+    pub fn train(samples: &[(&FeaturePayload, Vec<bool>)], cfg: &DetectorConfig) -> Self {
         assert!(!samples.is_empty(), "no training sample parsed");
         let _t = jsdetect_obs::span(names::SPAN_LEVEL2_TRAIN);
-        let space = VectorSpace::fit(samples.iter().map(|(a, _)| *a), cfg.max_ngrams, cfg.features);
-        // Vectorize straight into the columnar store, reusing one scratch
-        // row instead of materializing Vec<Vec<f32>>.
-        let mut data = Dataset::zeros(samples.len(), space.dim());
-        let mut row = Vec::with_capacity(space.dim());
-        for (i, (a, _)) in samples.iter().enumerate() {
-            space.vectorize_into(a, &mut row);
-            data.fill_row(i, &row);
-        }
+        let (space, data) = fit_dataset(samples, cfg);
         let y: Vec<Vec<bool>> = samples.iter().map(|(_, l)| l.clone()).collect();
         let model = MultiLabel::fit_dataset(&data, &y, cfg.strategy, &cfg.base);
         Level2Detector { space, model }
     }
 
-    /// Per-technique probabilities, indexed by [`Technique::index`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error for invalid JavaScript.
-    pub fn predict_proba(&self, src: &str) -> Result<Vec<f32>, ParseError> {
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
-        let a = jsdetect_features::analyze_script(src)?;
-        Ok(self.model.predict_proba(&self.space.vectorize(&a)))
-    }
-
-    /// Batch probabilities (parallel vectorization into one columnar
-    /// batch, flattened-forest batch inference); unparseable scripts
-    /// yield `None`.
-    pub fn predict_proba_many(&self, srcs: &[&str]) -> Vec<Option<Vec<f32>>> {
-        if srcs.is_empty() {
-            return Vec::new();
-        }
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH);
-        let (data, parsed) = vectorize_dataset(&self.space, srcs);
-        let probs = self.model.predict_proba_batch(&data);
-        parsed.into_iter().zip(probs).map(|(ok, p)| ok.then_some(p)).collect()
-    }
-
     /// Per-technique probabilities for one pre-extracted feature payload
     /// (the cache/serve path: no lexing or parsing).
-    pub fn predict_proba_payload(&self, payload: &jsdetect_features::FeaturePayload) -> Vec<f32> {
+    pub fn predict_proba_payload(&self, payload: &FeaturePayload) -> Vec<f32> {
         let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
         self.model.predict_proba(&self.space.vectorize_payload(payload))
     }
@@ -92,23 +42,11 @@ impl Level2Detector {
     /// (rejected scripts) yield `None` outputs.
     pub fn predict_proba_payloads(
         &self,
-        payloads: &[Option<&jsdetect_features::FeaturePayload>],
+        payloads: &[Option<&FeaturePayload>],
     ) -> Vec<Option<Vec<f32>>> {
-        crate::level1::batch_payload_proba(&self.space, &self.model, payloads, || {
+        batch_payload_proba(&self.space, &self.model, payloads, || {
             jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH)
         })
-    }
-
-    /// The thresholded Top-k rule of §III-E2: the `k` most probable
-    /// techniques whose probability exceeds `threshold`.
-    pub fn predict_techniques(
-        &self,
-        src: &str,
-        k: usize,
-        threshold: f32,
-    ) -> Result<Vec<Technique>, ParseError> {
-        let probs = self.predict_proba(src)?;
-        Ok(thresholded_top_k(&probs, k, threshold).into_iter().map(|i| Technique::ALL[i]).collect())
     }
 
     /// The fitted vector space (for inspection).
@@ -118,10 +56,7 @@ impl Level2Detector {
 
     /// Named feature importances for one technique, most important first.
     pub fn feature_importances(&self, technique: Technique) -> Vec<(String, f64)> {
-        crate::level1::named_importances(
-            &self.space,
-            self.model.feature_importances(technique.index()),
-        )
+        named_importances(&self.space, self.model.feature_importances(technique.index()))
     }
 
     /// Restores internal indexes after deserialization and validates the

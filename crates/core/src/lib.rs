@@ -14,12 +14,19 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use jsdetect::{train_pipeline, DetectorConfig};
+//! use jsdetect::{classify_many_cached, train_pipeline, AnalysisConfig, DetectorConfig};
 //!
 //! // Train at a laptop scale (the paper uses 21,000 source scripts).
 //! let out = train_pipeline(200, 42, &DetectorConfig::default());
-//! let verdict = out.detectors.level1.predict("var x=1;f(x);").unwrap();
-//! println!("transformed: {}", verdict.is_transformed());
+//! let verdicts = classify_many_cached(
+//!     &["var x=1;f(x);"],
+//!     &AnalysisConfig::wild(),
+//!     None, // no verdict store
+//!     &out.detectors,
+//!     4,
+//!     jsdetect::DEFAULT_THRESHOLD,
+//! );
+//! println!("transformed: {}", verdicts[0].is_transformed());
 //! ```
 
 #![warn(missing_docs)]
@@ -31,15 +38,13 @@ mod config;
 mod level1;
 mod level2;
 mod pipeline;
-mod vectorize;
 
-pub use cached::{analyze_many_cached, analyze_many_opt_cached, analyze_one_cached, CachedScript};
-pub use classify::{classify_analyzed, classify_many_cached, classify_one_cached, ScriptVerdict};
+pub use cached::{analyze_many_opt_cached, analyze_one_cached, CachedScript};
+pub use classify::{classify_analyzed, classify_many_cached, ScriptVerdict};
 pub use config::{AnalysisConfig, DetectorConfig};
 pub use level1::{Level1Detector, Level1Prediction, Level1Truth};
 pub use level2::{Level2Detector, DEFAULT_THRESHOLD};
 pub use pipeline::{train_pipeline, PipelineOutput, TrainedDetectors};
-pub use vectorize::{analyze_many, analyze_many_guarded, vectorize_dataset, vectorize_many};
 
 // Re-export the vocabulary types users need alongside the detectors.
 pub use jsdetect_features::GuardedScript;

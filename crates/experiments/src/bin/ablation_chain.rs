@@ -6,7 +6,7 @@
 //! split.
 
 use jsdetect::{train_pipeline, DetectorConfig, Strategy};
-use jsdetect_experiments::{or_exit, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, write_json, Args};
 use jsdetect_ml::{metrics, BaseParams, ForestParams, TreeParams};
 use serde::Serialize;
 
@@ -86,7 +86,8 @@ fn main() {
             (&out.test_obfuscated, "obfuscated"),
         ] {
             let srcs: Vec<&str> = pool.iter().map(|s| s.src.as_str()).collect();
-            for p in out.detectors.level1.predict_many(&srcs).iter().flatten() {
+            for p in classify(&out.detectors, &srcs).into_iter().flatten().filter_map(|v| v.level1)
+            {
                 total += 1;
                 let correct = match class {
                     "regular" => !p.is_transformed(),
@@ -102,7 +103,8 @@ fn main() {
 
         // Level-2 exact-set accuracy.
         let srcs: Vec<&str> = out.test_level2.iter().map(|s| s.src.as_str()).collect();
-        let probs = out.detectors.level2.predict_proba_many(&srcs);
+        let probs: Vec<_> =
+            classify(&out.detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect();
         let mut hard = Vec::new();
         let mut truth = Vec::new();
         for (p, s) in probs.into_iter().zip(&out.test_level2) {

@@ -3,7 +3,7 @@
 //! family's contribution.
 
 use jsdetect::{train_pipeline, DetectorConfig};
-use jsdetect_experiments::{or_exit, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, write_json, Args};
 use jsdetect_features::FeatureConfig;
 use jsdetect_ml::metrics;
 use serde::Serialize;
@@ -43,7 +43,8 @@ fn main() {
             (&out.test_obfuscated, "obfuscated"),
         ] {
             let srcs: Vec<&str> = pool.iter().map(|s| s.src.as_str()).collect();
-            for p in out.detectors.level1.predict_many(&srcs).iter().flatten() {
+            for p in classify(&out.detectors, &srcs).into_iter().flatten().filter_map(|v| v.level1)
+            {
                 total += 1;
                 let correct = match class {
                     "regular" => !p.is_transformed(),
@@ -58,7 +59,8 @@ fn main() {
         let l1 = 100.0 * ok as f64 / total.max(1) as f64;
 
         let srcs: Vec<&str> = out.test_level2.iter().map(|s| s.src.as_str()).collect();
-        let probs = out.detectors.level2.predict_proba_many(&srcs);
+        let probs: Vec<_> =
+            classify(&out.detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect();
         let mut hard = Vec::new();
         let mut truth = Vec::new();
         for (p, s) in probs.into_iter().zip(&out.test_level2) {

@@ -7,7 +7,7 @@
 //! extra dimensions help each per-technique head.
 
 use jsdetect::{train_pipeline, DetectorConfig, Technique};
-use jsdetect_experiments::{or_exit, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, write_json, Args};
 use jsdetect_features::FeatureConfig;
 use jsdetect_ml::metrics;
 use serde::Serialize;
@@ -34,7 +34,8 @@ fn main() {
         let out = train_pipeline(n, args.seed, &cfg);
 
         let srcs: Vec<&str> = out.test_level2.iter().map(|s| s.src.as_str()).collect();
-        let probs = out.detectors.level2.predict_proba_many(&srcs);
+        let probs: Vec<_> =
+            classify(&out.detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect();
         let mut pred: Vec<Vec<bool>> = Vec::new();
         let mut truth: Vec<Vec<bool>> = Vec::new();
         for (p, s) in probs.into_iter().zip(&out.test_level2) {

@@ -20,7 +20,7 @@
 //! through `jsdetect-obs`, so trajectory points are attributable and the
 //! analysis wall time can be decomposed without a profiler.
 
-use jsdetect::{analyze_many, analyze_many_cached, AnalysisConfig};
+use jsdetect::{analyze_many_opt_cached, AnalysisConfig, CachedScript};
 use jsdetect_cache::{preset_tag, AnalysisCache, CacheConfig};
 use jsdetect_experiments::{or_exit, IoError};
 use jsdetect_ml::reference::RowMajorForest;
@@ -252,6 +252,12 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// The storeless batch analysis the `analyze_many` stage and the telemetry
+/// passes time, under trusted limits.
+fn analyze_storeless(refs: &[&str]) -> Vec<CachedScript> {
+    analyze_many_opt_cached(refs, &AnalysisConfig::trusted(), None)
+}
+
 /// Short git commit SHA of the working tree, if available.
 fn git_sha() -> Option<String> {
     let out = std::process::Command::new("git").args(["rev-parse", "--short", "HEAD"]).output();
@@ -268,7 +274,7 @@ fn git_sha() -> Option<String> {
 fn capture_telemetry(refs: &[&str]) -> TelemetryBreakdown {
     jsdetect_obs::set_enabled(true);
     jsdetect_obs::reset();
-    std::hint::black_box(analyze_many(refs));
+    std::hint::black_box(analyze_storeless(refs));
     let snap = jsdetect_obs::snapshot();
     jsdetect_obs::set_enabled(false);
 
@@ -308,13 +314,13 @@ fn obs_overhead(refs: &[&str], reps: usize) -> ObsBench {
     for _ in 0..reps {
         jsdetect_obs::set_enabled(false);
         let t0 = Instant::now();
-        std::hint::black_box(analyze_many(refs));
+        std::hint::black_box(analyze_storeless(refs));
         disabled.push(t0.elapsed().as_secs_f64() * 1e3);
 
         jsdetect_obs::set_enabled(true);
         jsdetect_obs::reset();
         let t0 = Instant::now();
-        std::hint::black_box(analyze_many(refs));
+        std::hint::black_box(analyze_storeless(refs));
         enabled.push(t0.elapsed().as_secs_f64() * 1e3);
         let snap = jsdetect_obs::snapshot();
         trace_events = snap.events.len();
@@ -402,7 +408,7 @@ fn main() {
         .collect();
     let refs: Vec<&str> = scripts.iter().map(String::as_str).collect();
     stages.push(stage("analyze_many", n_scripts, fit_reps, || {
-        std::hint::black_box(analyze_many(&refs));
+        std::hint::black_box(analyze_storeless(&refs));
     }));
 
     // Incremental-rescan cost: the same scripts through the content-
@@ -412,7 +418,7 @@ fn main() {
     // LRU starts cold and the replay comes off disk.
     let config = AnalysisConfig::default();
     let cache_base =
-        std::env::temp_dir().join(format!("jsdetect-bench-cache-{}", std::process::id()));
+        std::env::temp_dir().join(format!("bench-report-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_base);
     let open_cache = |dir: &std::path::Path| {
         AnalysisCache::open(CacheConfig::new(dir, &config.limits)).expect("open bench cache")
@@ -421,13 +427,13 @@ fn main() {
     stages.push(stage("scan_cold", n_scripts, fit_reps, || {
         cold_rep += 1;
         let cache = open_cache(&cache_base.join(format!("cold-{}", cold_rep)));
-        std::hint::black_box(analyze_many_cached(&refs, &config, &cache));
+        std::hint::black_box(analyze_many_opt_cached(&refs, &config, Some(&cache)));
     }));
     let warm_dir = cache_base.join("warm");
-    analyze_many_cached(&refs, &config, &open_cache(&warm_dir)); // populate, untimed
+    analyze_many_opt_cached(&refs, &config, Some(&open_cache(&warm_dir))); // populate, untimed
     stages.push(stage("scan_warm", n_scripts, pred_reps, || {
         let cache = open_cache(&warm_dir);
-        std::hint::black_box(analyze_many_cached(&refs, &config, &cache));
+        std::hint::black_box(analyze_many_opt_cached(&refs, &config, Some(&cache)));
     }));
     let _ = std::fs::remove_dir_all(&cache_base);
 
@@ -449,7 +455,7 @@ fn main() {
             } else {
                 jsdetect::Technique::MinificationAdvanced
             };
-            jsdetect_transform::apply(&src, &[t], seed + i as u64).unwrap_or_else(|_| src)
+            jsdetect_transform::apply(&src, &[t], seed + i as u64).unwrap_or(src)
         })
         .collect();
     let norm_opts = jsdetect_normalize::NormalizeOptions::wild();
@@ -509,7 +515,7 @@ fn main() {
     // front-end lost ES-module coverage; CI gates the rate at zero.
     let module_pop = jsdetect_corpus::module_population(if smoke { 12 } else { 60 }, seed);
     let module_refs: Vec<&str> = module_pop.iter().map(|s| s.src.as_str()).collect();
-    let module_results = jsdetect::analyze_many_guarded(&module_refs, &AnalysisConfig::wild());
+    let module_results = analyze_many_opt_cached(&module_refs, &AnalysisConfig::wild(), None);
     let n_module_goal = module_pop
         .iter()
         .filter(|s| jsdetect_parser::parse(&s.src).map(|p| p.module_goal()).unwrap_or(false))

@@ -5,7 +5,7 @@
 //! overall 99.41%; transformed-vs-regular 99.69%.
 
 use jsdetect_corpus::LabeledSample;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,7 +36,8 @@ fn main() {
 
     let count = |samples: &[LabeledSample], check: &dyn Fn(&jsdetect::Level1Prediction) -> bool| {
         let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-        let preds = detectors.level1.predict_many(&srcs);
+        let preds: Vec<_> =
+            classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
         let mut ok = 0usize;
         let mut n = 0usize;
         for p in preds.iter().flatten() {

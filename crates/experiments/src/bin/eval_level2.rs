@@ -6,7 +6,7 @@
 //! truths carry up to 3 labels). Also reports per-technique recall.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use jsdetect_ml::metrics;
 use serde::Serialize;
 
@@ -25,7 +25,8 @@ fn main() {
     let (detectors, pools) = or_exit(train_cached(&args));
 
     let srcs: Vec<&str> = pools.test_level2.iter().map(|s| s.src.as_str()).collect();
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    let probs: Vec<_> =
+        classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect();
     let mut kept_probs: Vec<Vec<f32>> = Vec::new();
     let mut kept_truth: Vec<Vec<bool>> = Vec::new();
     for (p, s) in probs.into_iter().zip(&pools.test_level2) {

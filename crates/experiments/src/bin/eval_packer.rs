@@ -7,7 +7,7 @@
 
 use jsdetect::Technique;
 use jsdetect_corpus::packer_set;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,7 +27,8 @@ fn main() {
     let samples = packer_set(n, args.seed ^ 0x9acc);
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
 
-    let l1 = detectors.level1.predict_many(&srcs);
+    let verdicts = classify(&detectors, &srcs);
+    let l1: Vec<_> = verdicts.iter().map(|v| v.as_ref().and_then(|v| v.level1)).collect();
     let mut transformed = 0usize;
     let mut total = 0usize;
     for p in l1.iter().flatten() {
@@ -39,7 +40,7 @@ fn main() {
     let acc = 100.0 * transformed as f64 / total.max(1) as f64;
 
     // Thresholded Top-4 technique reports across the set.
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    let probs: Vec<_> = verdicts.into_iter().map(|v| v.and_then(|v| v.level2)).collect();
     let mut counts = [0usize; 10];
     let mut n_pred = 0usize;
     for p in probs.into_iter().flatten() {

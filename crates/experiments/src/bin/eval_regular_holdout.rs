@@ -3,7 +3,7 @@
 //! target: 98.65% classified regular).
 
 use jsdetect_corpus::regular_corpus;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,7 +22,8 @@ fn main() {
     // Seed offset far outside the training stream.
     let scripts = regular_corpus(n, args.seed.wrapping_add(0xDEAD_0000));
     let srcs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds: Vec<_> =
+        classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
     let mut ok = 0usize;
     let mut total = 0usize;
     for p in preds.iter().flatten() {

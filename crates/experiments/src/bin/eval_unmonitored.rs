@@ -4,7 +4,7 @@
 //! reference** (dot accesses rewritten to bracket notation).
 
 use jsdetect_corpus::regular_corpus;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use jsdetect_transform::presets::obfuscate_field_references;
 use serde::Serialize;
 
@@ -33,8 +33,10 @@ fn main() {
 
     let base_refs: Vec<&str> = base.iter().map(|s| s.as_str()).collect();
     let obf_refs: Vec<&str> = rewritten.iter().map(|s| s.as_str()).collect();
-    let p_base = detectors.level1.predict_many(&base_refs);
-    let p_obf = detectors.level1.predict_many(&obf_refs);
+    let p_base: Vec<_> =
+        classify(&detectors, &base_refs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
+    let p_obf: Vec<_> =
+        classify(&detectors, &obf_refs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
 
     let flagged = |preds: &[Option<jsdetect::Level1Prediction>]| {
         let t = preds.iter().flatten().filter(|p| p.is_transformed()).count();

@@ -6,7 +6,7 @@
 //! plus the level-1 transformed rate on mixed samples (paper: 99.99%).
 
 use jsdetect_corpus::mixed_set;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use jsdetect_ml::metrics;
 use serde::Serialize;
 
@@ -40,7 +40,8 @@ fn main() {
     let srcs: Vec<&str> = mixed.iter().map(|s| s.src.as_str()).collect();
 
     // Level 1 on mixed samples: everything is transformed.
-    let l1 = detectors.level1.predict_many(&srcs);
+    let verdicts = classify(&detectors, &srcs);
+    let l1: Vec<_> = verdicts.iter().map(|v| v.as_ref().and_then(|v| v.level1)).collect();
     let mut l1_ok = 0usize;
     let mut l1_n = 0usize;
     for p in l1.iter().flatten() {
@@ -52,7 +53,7 @@ fn main() {
     let l1_acc = 100.0 * l1_ok as f64 / l1_n.max(1) as f64;
 
     // Level 2 probabilities.
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    let probs: Vec<_> = verdicts.into_iter().map(|v| v.and_then(|v| v.level2)).collect();
     let mut kept_probs = Vec::new();
     let mut kept_truth = Vec::new();
     let mut labels_histogram = vec![0usize; 11];

@@ -8,7 +8,8 @@
 use jsdetect::Technique;
 use jsdetect_corpus::npm_population;
 use jsdetect_experiments::{
-    or_exit, print_technique_table, technique_usage_probability, train_cached, write_json, Args,
+    classify, or_exit, print_technique_table, technique_usage_probability, train_cached,
+    write_json, Args,
 };
 use serde::Serialize;
 use std::collections::HashMap;
@@ -43,7 +44,8 @@ fn main() {
     }
     eprintln!("[npm] classifying {} scripts...", all_scripts.len());
     let srcs: Vec<&str> = all_scripts.iter().map(|s| s.src.as_str()).collect();
-    let l1 = detectors.level1.predict_many(&srcs);
+    let l1: Vec<_> =
+        classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
 
     let mut transformed = 0usize;
     let mut minified = 0usize;

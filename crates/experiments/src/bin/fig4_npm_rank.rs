@@ -7,7 +7,9 @@
 
 use jsdetect::Technique;
 use jsdetect_corpus::npm_population;
-use jsdetect_experiments::{or_exit, technique_usage_probability, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify, or_exit, technique_usage_probability, train_cached, write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -46,7 +48,8 @@ fn main() {
             ));
         }
         let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-        let l1 = detectors.level1.predict_many(&srcs);
+        let l1: Vec<_> =
+            classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
         let mut transformed = 0usize;
         let mut total = 0usize;
         for p in l1.iter().flatten() {

@@ -5,7 +5,7 @@
 //! stable ~17.95%, then ~15.17%).
 
 use jsdetect_corpus::{alexa_population, npm_population};
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,7 +33,8 @@ fn main() {
         npm.extend(npm_population(month, packages / 2, 1000, args.seed ^ (month as u64) ^ 0x9a));
         let rate = |pop: &[jsdetect_corpus::WildScript]| -> (f64, f64) {
             let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-            let l1 = detectors.level1.predict_many(&srcs);
+            let l1: Vec<_> =
+                classify(&detectors, &srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect();
             let mut tr = 0usize;
             let mut n = 0usize;
             for p in l1.iter().flatten() {

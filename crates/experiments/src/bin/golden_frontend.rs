@@ -11,8 +11,9 @@
 //! Regenerate (only when the feature space changes *intentionally*):
 //! `cargo run --release -p jsdetect-experiments --bin golden_frontend`
 
+use jsdetect::{analyze_many_opt_cached, AnalysisConfig, OutcomeKind};
 use jsdetect_corpus::regular_corpus;
-use jsdetect_features::{analyze_script, FeatureConfig, VectorSpace};
+use jsdetect_features::{FeatureConfig, FeaturePayload, VectorSpace};
 use jsdetect_transform::{apply, Technique};
 use serde::{Deserialize, Serialize};
 
@@ -72,23 +73,27 @@ w" + '\8';"#),
 fn main() {
     let max_ngrams = 200;
     let scripts = golden_scripts();
-    let analyses: Vec<_> = scripts
+    let srcs: Vec<&str> = scripts.iter().map(|(_, src)| src.as_str()).collect();
+    let analyzed = analyze_many_opt_cached(&srcs, &AnalysisConfig::trusted(), None);
+    let payloads: Vec<FeaturePayload> = scripts
         .iter()
-        .map(|(label, src)| {
-            analyze_script(src).unwrap_or_else(|e| panic!("{} failed to parse: {}", label, e))
+        .zip(analyzed)
+        .map(|((label, _), c)| match (c.outcome, c.payload) {
+            (OutcomeKind::Ok, Some(p)) => p,
+            _ => panic!("{} failed to analyze: {}", label, c.error_msg),
         })
         .collect();
-    let space = VectorSpace::fit(analyses.iter(), max_ngrams, FeatureConfig::default());
+    let space = VectorSpace::fit(&payloads, max_ngrams, FeatureConfig::default());
     let golden = FrontendGolden {
         dim: space.dim(),
         max_ngrams,
         scripts: scripts
             .iter()
-            .zip(&analyses)
-            .map(|((label, src), a)| GoldenScript {
+            .zip(&payloads)
+            .map(|((label, src), p)| GoldenScript {
                 label: label.clone(),
                 src: src.clone(),
-                vector_bits: space.vectorize(a).iter().map(|v| v.to_bits()).collect(),
+                vector_bits: space.vectorize_payload(p).iter().map(|v| v.to_bits()).collect(),
             })
             .collect(),
     };

@@ -17,7 +17,7 @@
 //! travel with the benchmark history.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args, IoError};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args, IoError};
 use jsdetect_guard::Limits;
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use serde::Serialize;
@@ -102,8 +102,11 @@ fn main() {
 
     let orig_refs: Vec<&str> = pools.test_level2.iter().map(|s| s.src.as_str()).collect();
     let norm_refs: Vec<&str> = normalized.iter().map(String::as_str).collect();
-    let orig_probs = detectors.level2.predict_proba_many(&orig_refs);
-    let norm_probs = detectors.level2.predict_proba_many(&norm_refs);
+    let level2 = |srcs: &[&str]| -> Vec<Option<Vec<f32>>> {
+        classify(&detectors, srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect()
+    };
+    let orig_probs = level2(&orig_refs);
+    let norm_probs = level2(&norm_refs);
 
     // Keep only rows where both variants produced a prediction.
     let mut kept_orig: Vec<Vec<f32>> = Vec::new();

@@ -4,7 +4,10 @@
 //! 1.0) and `--seed <u64>` (default 42), prints the paper-shaped rows to
 //! stdout, and writes a JSON record under `results/`.
 
-use jsdetect::{train_pipeline, DetectorConfig, Technique};
+use jsdetect::{
+    classify_many_cached, train_pipeline, AnalysisConfig, DetectorConfig, OutcomeKind,
+    ScriptVerdict, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
+};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -209,25 +212,29 @@ pub fn write_json<T: Serialize>(args: &Args, name: &str, value: &T) -> Result<Pa
     Ok(path)
 }
 
+/// Classifies `srcs` through the product's source→verdict path
+/// ([`classify_many_cached`] under [`AnalysisConfig::trusted`], no store).
+/// Any outcome other than `Ok` maps to `None`: the paper drops unparseable
+/// files.
+pub fn classify(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<ScriptVerdict>> {
+    classify_many_cached(srcs, &AnalysisConfig::trusted(), None, detectors, 4, DEFAULT_THRESHOLD)
+        .into_iter()
+        .map(|v| (v.outcome == OutcomeKind::Ok).then_some(v))
+        .collect()
+}
+
 /// Mean per-technique probability over scripts flagged transformed —
 /// the quantity plotted in the paper's Figures 2/3/5/7/8 ("average
 /// probability of a given technique being used, based on our detector
 /// confidence score").
 pub fn technique_usage_probability(
-    detectors: &jsdetect::TrainedDetectors,
+    detectors: &TrainedDetectors,
     srcs: &[&str],
 ) -> ([f64; 10], usize) {
-    let l1 = detectors.level1.predict_many(srcs);
-    let transformed: Vec<&str> = srcs
-        .iter()
-        .zip(&l1)
-        .filter(|(_, p)| p.map(|p| p.is_transformed()).unwrap_or(false))
-        .map(|(s, _)| *s)
-        .collect();
-    let probs = detectors.level2.predict_proba_many(&transformed);
     let mut sums = [0f64; 10];
     let mut n = 0usize;
-    for p in probs.into_iter().flatten() {
+    let verdicts = classify(detectors, srcs).into_iter().flatten();
+    for p in verdicts.filter(ScriptVerdict::is_transformed).filter_map(|v| v.level2) {
         for (i, v) in p.iter().enumerate() {
             sums[i] += *v as f64;
         }

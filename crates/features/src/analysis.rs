@@ -1,16 +1,14 @@
 //! Per-script static analysis bundle.
 //!
-//! [`analyze_script`] runs the full front-end once — tokens, comments,
-//! AST, scopes, control flow, data flow — and hands the result to the
-//! feature extractors.
+//! [`crate::analyze_script_guarded`] runs the full front-end once —
+//! tokens, comments, AST, scopes, control flow, data flow — and hands the
+//! result to the feature extractors.
 
 use jsdetect_ast::metrics::{KindCounts, TreeShape};
 use jsdetect_ast::Program;
-use jsdetect_flow::{analyze_with, DataFlowOptions, ProgramGraph};
+use jsdetect_flow::ProgramGraph;
 use jsdetect_lexer::{Comment, Token};
-use jsdetect_lint::{LintRunner, LintSummary};
-use jsdetect_obs::names;
-use jsdetect_parser::{parse_with_comments, ParseError};
+use jsdetect_lint::LintSummary;
 
 /// Everything the feature extractors need about one script.
 #[derive(Debug)]
@@ -41,77 +39,13 @@ pub struct ScriptAnalysis {
     pub degraded: bool,
 }
 
-/// Parses and analyzes one script.
-///
-/// # Errors
-///
-/// Returns the parse error if the script is not valid JavaScript.
-///
-/// # Examples
-///
-/// ```
-/// use jsdetect_features::analyze_script;
-/// let a = analyze_script("var x = 1; f(x);").unwrap();
-/// assert!(a.shape.node_count > 4);
-/// ```
-pub fn analyze_script(src: &str) -> Result<ScriptAnalysis, ParseError> {
-    let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
-    jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
-    let (program, comments) = {
-        let _s = jsdetect_obs::span(names::SPAN_PARSE);
-        parse_with_comments(src)
-            .inspect_err(|_| jsdetect_obs::counter_add(names::CTR_PARSE_FAILURES, 1))?
-    };
-    let tokens = {
-        let _s = jsdetect_obs::span(names::SPAN_LEX);
-        jsdetect_lexer::tokenize(src).unwrap_or_else(|_| {
-            jsdetect_obs::counter_add(names::CTR_LEXER_ERRORS, 1);
-            Vec::new()
-        })
-    };
-    let graph = {
-        let _s = jsdetect_obs::span(names::SPAN_FLOW);
-        analyze_with(&program, &DataFlowOptions::default())
-    };
-    if !graph.dataflow.complete {
-        jsdetect_obs::counter_add(names::CTR_FLOW_TRUNCATIONS, 1);
-        jsdetect_obs::counter_add(
-            names::CTR_FLOW_TRUNCATED_BINDINGS,
-            graph.dataflow.truncated_bindings.len() as u64,
-        );
-    }
-    let (shape, kinds) = {
-        let _s = jsdetect_obs::span(names::SPAN_METRICS);
-        (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program))
-    };
-    let lint = {
-        let _s = jsdetect_obs::span(names::SPAN_LINT);
-        let (diagnostics, lint) = LintRunner::default().run_with_summary(src, &program, &graph);
-        jsdetect_obs::counter_add(names::CTR_LINT_FIRES, diagnostics.len() as u64);
-        lint
-    };
-    let normalize = crate::deltas::normalize_deltas(src, &program, shape.node_count, &lint);
-    Ok(ScriptAnalysis {
-        src: src.to_string(),
-        program,
-        tokens,
-        comments,
-        graph,
-        shape,
-        kinds,
-        lint,
-        normalize,
-        degraded: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::guarded::analyze_ok;
 
     #[test]
     fn analysis_bundles_everything() {
-        let a = analyze_script("// c\nvar x = 1;\nif (x) { f(x); }").unwrap();
+        let a = analyze_ok("// c\nvar x = 1;\nif (x) { f(x); }");
         assert_eq!(a.comments.len(), 1);
         assert!(!a.tokens.is_empty());
         assert!(a.graph.scopes.bindings().len() == 1);
@@ -120,19 +54,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_propagate() {
-        assert!(analyze_script("var ;;;=").is_err());
-    }
-
-    #[test]
     fn empty_and_comment_only_scripts() {
-        let a = analyze_script("").unwrap();
+        let a = analyze_ok("");
         assert_eq!(a.shape.node_count, 1); // just the Program node
-        let b = analyze_script(
-            "// only a comment
-/* and a block */",
-        )
-        .unwrap();
+        let b = analyze_ok("// only a comment\n/* and a block */");
         assert_eq!(b.comments.len(), 2);
         assert_eq!(b.program.body.len(), 0);
     }
@@ -141,7 +66,7 @@ mod tests {
     fn single_long_line_script() {
         // Minified-style single line with thousands of statements.
         let src = "var a=0;".to_string() + &"a=a+1;".repeat(2_000);
-        let a = analyze_script(&src).unwrap();
+        let a = analyze_ok(&src);
         assert!(a.shape.node_count > 8_000);
         assert!(jsdetect_ast::metrics::avg_chars_per_line(&a.src) > 1_000.0);
     }
@@ -151,7 +76,7 @@ mod tests {
         let depth = 20;
         let src = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
         let src = format!("x = {};", src);
-        let a = analyze_script(&src).unwrap();
+        let a = analyze_ok(&src);
         assert!(a.shape.max_depth >= 3);
     }
 }

@@ -14,7 +14,6 @@
 //! on the rewrite-fuel and round caps alone; a degraded normalization
 //! yields the neutral vector instead of a partial measurement.
 
-use crate::analysis::ScriptAnalysis;
 use crate::handpicked::byte_entropy;
 use jsdetect_ast::{walk, Expr, Lit, LitValue, NodeRef, Program};
 use jsdetect_guard::{Limits, OutcomeKind};
@@ -76,15 +75,6 @@ pub fn normalize_deltas(
     v
 }
 
-/// Convenience wrapper over a finished analysis (used by tests and
-/// callers that did not keep the parts separate).
-pub fn normalize_deltas_for(a: &ScriptAnalysis) -> Vec<f32> {
-    if a.degraded {
-        return neutral_deltas();
-    }
-    normalize_deltas(&a.src, &a.program, a.shape.node_count, &a.lint)
-}
-
 /// Mean per-string byte entropy of the string literals in a program
 /// (0.0 when there are none) — the same statistic the hand-picked
 /// `avg_string_entropy` feature uses, recomputed on a rewritten AST.
@@ -107,7 +97,7 @@ fn avg_string_entropy(p: &Program) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::guarded::analyze_ok;
     use jsdetect_transform::{apply, Technique};
 
     #[test]
@@ -121,8 +111,7 @@ mod tests {
 
     #[test]
     fn clean_code_is_near_neutral() {
-        let a = analyze_script("function f(a) { return a + 1; }\nf(2);").unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = analyze_ok("function f(a) { return a + 1; }\nf(2);").normalize;
         assert_eq!(v.len(), N_NORMALIZE);
         assert!((v[0] - 1.0).abs() < 1e-6, "nothing to normalize away: {:?}", v);
         assert!(v[2..].iter().all(|&x| x == 0.0), "{:?}", v);
@@ -136,8 +125,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let a = analyze_script(&src).unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = analyze_ok(&src).normalize;
         assert!(v[0] < 0.9, "pool + decoder must fold away, ratio {}", v[0]);
     }
 
@@ -158,8 +146,7 @@ mod tests {
             11,
         )
         .unwrap();
-        let a = analyze_script(&src).unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = analyze_ok(&src).normalize;
         let comma_dim = 2 + RULE_NAMES.iter().position(|r| *r == "comma-sequence-density").unwrap();
         assert!(v[comma_dim] < 0.0, "unflattening must drop the comma density: {:?}", v);
     }

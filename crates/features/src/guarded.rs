@@ -1,16 +1,17 @@
-//! The hardened analysis front-end: budgets, degradation, typed outcomes.
+//! The analysis front-end: budgets, degradation, typed outcomes.
 //!
-//! [`analyze_script_guarded`] is the sandboxed sibling of
-//! [`crate::analyze_script`]: same stages, but every stage charges a
-//! [`Budget`] and every failure is classified into the three-way
+//! [`analyze_script_guarded`] is the one route from source text to a
+//! [`ScriptAnalysis`]: every stage charges a [`Budget`], a panic in any
+//! stage is fenced, and every failure is classified into the three-way
 //! [`OutcomeKind`] verdict wild-scale batch drivers need — full result,
-//! lexer-only fallback, or quarantined reject.
+//! lexer-only fallback, or quarantined reject. [`Limits::trusted`] keeps
+//! only the stack-overflow depth guard, for trusted training corpora.
 
 use crate::analysis::ScriptAnalysis;
 use jsdetect_ast::metrics::KindCounts;
 use jsdetect_ast::{Program, Span};
 use jsdetect_flow::{analyze_with, DataFlowOptions};
-use jsdetect_guard::{AnalysisError, Budget, Limits, OutcomeKind};
+use jsdetect_guard::{isolate, AnalysisError, Budget, Limits, OutcomeKind};
 use jsdetect_lexer::{tokenize_lossy, tokenize_with_budget};
 use jsdetect_lint::LintRunner;
 use jsdetect_obs::names;
@@ -44,6 +45,9 @@ impl GuardedScript {
         }
     }
 
+    /// The one constructor of a rejection: it bumps both the per-kind
+    /// counter and `guard/rejected`, so every quarantined script is
+    /// counted once whatever rejected it.
     fn rejected(error: AnalysisError) -> GuardedScript {
         jsdetect_obs::counter_add(error.counter_name(), 1);
         jsdetect_obs::counter_add(names::CTR_GUARD_REJECTED, 1);
@@ -53,7 +57,9 @@ impl GuardedScript {
 
 /// Analyzes one script under `limits`, never panicking on budget-class
 /// failures and degrading to a lexer-only feature bundle when only the
-/// parse fails.
+/// parse fails. A residual panic in any stage is contained and rejects
+/// this script (`guard/stage_panicked`) instead of unwinding into the
+/// caller's thread pool.
 ///
 /// # Examples
 ///
@@ -72,6 +78,16 @@ impl GuardedScript {
 pub fn analyze_script_guarded(src: &str, limits: &Limits) -> GuardedScript {
     let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
     jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+    fenced(|| run_stages(src, limits))
+}
+
+/// Runs `stages` behind a panic fence; a panic becomes a rejection.
+fn fenced(stages: impl FnOnce() -> GuardedScript) -> GuardedScript {
+    isolate("analyze", stages).unwrap_or_else(GuardedScript::rejected)
+}
+
+/// The stage sequence of [`analyze_script_guarded`], unfenced.
+fn run_stages(src: &str, limits: &Limits) -> GuardedScript {
     let budget = Budget::new(limits);
     if let Err(e) = budget.check_input(src.len()) {
         return GuardedScript::rejected(e);
@@ -107,8 +123,8 @@ pub fn analyze_script_guarded(src: &str, limits: &Limits) -> GuardedScript {
                 if let Some(v) = budget.take_violation() {
                     return GuardedScript::rejected(v);
                 }
-                // Same tolerance as the legacy path: the AST parsed, so a
-                // standalone-lex hiccup only costs the token list.
+                // The AST parsed, so a standalone-lex hiccup only costs
+                // the token list.
                 jsdetect_obs::counter_add(names::CTR_LEXER_ERRORS, 1);
                 Vec::new()
             }
@@ -222,25 +238,68 @@ fn degraded_fallback(src: &str, budget: &Budget, cause: AnalysisError) -> Guarde
     )
 }
 
+/// The trusted-preset analysis of a script that must analyze `Ok` (the
+/// crate's unit tests share it).
+#[cfg(test)]
+pub(crate) fn analyze_ok(src: &str) -> ScriptAnalysis {
+    let g = analyze_script_guarded(src, &Limits::trusted());
+    assert_eq!(g.outcome, OutcomeKind::Ok, "{:?}", g.error);
+    g.analysis.expect("an ok outcome carries its analysis")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Telemetry counters are process-global: the tests in this module
+    /// that reject a script hold this lock, so the fence test can count
+    /// `guard/rejected` exactly.
+    static REJECTING: Mutex<()> = Mutex::new(());
+
+    fn guarded(src: &str, limits: &Limits) -> GuardedScript {
+        let _g = REJECTING.lock().unwrap_or_else(|e| e.into_inner());
+        analyze_script_guarded(src, limits)
+    }
+
+    fn lexer_only(src: &str, limits: &Limits) -> GuardedScript {
+        let _g = REJECTING.lock().unwrap_or_else(|e| e.into_inner());
+        analyze_script_lexer_only(src, limits)
+    }
 
     #[test]
-    fn clean_script_is_ok_and_matches_legacy() {
-        let g = analyze_script_guarded("var x = 1; if (x) { f(x); }", &Limits::wild());
+    fn clean_script_is_ok() {
+        let g = guarded("var x = 1; if (x) { f(x); }", &Limits::wild());
         assert_eq!(g.outcome, OutcomeKind::Ok);
         assert!(g.error.is_none());
         let a = g.analysis.unwrap();
         assert!(!a.degraded);
-        let legacy = crate::analyze_script("var x = 1; if (x) { f(x); }").unwrap();
-        assert_eq!(a.shape.node_count, legacy.shape.node_count);
-        assert_eq!(a.tokens.len(), legacy.tokens.len());
+        assert!(!a.tokens.is_empty());
+        assert!(a.shape.node_count > 8);
+    }
+
+    #[test]
+    fn contained_panic_moves_guard_rejected_by_exactly_one() {
+        let g = {
+            let _g = REJECTING.lock().unwrap_or_else(|e| e.into_inner());
+            jsdetect_obs::set_enabled(true);
+            let before = jsdetect_obs::snapshot();
+            let g = fenced(|| panic!("injected stage panic"));
+            let after = jsdetect_obs::snapshot();
+            jsdetect_obs::set_enabled(false);
+            for name in [names::CTR_GUARD_REJECTED, "guard/stage_panicked"] {
+                assert_eq!(after.counter(name) - before.counter(name), 1, "{}", name);
+            }
+            g
+        };
+        assert_eq!(g.outcome, OutcomeKind::Rejected);
+        assert!(g.analysis.is_none());
+        assert_eq!(g.error.unwrap().kind(), "stage_panicked");
     }
 
     #[test]
     fn syntax_error_degrades_with_lexical_signal() {
-        let g = analyze_script_guarded("var x = ;;;=", &Limits::wild());
+        let g = guarded("var x = ;;;=", &Limits::wild());
         assert_eq!(g.outcome, OutcomeKind::Degraded);
         let a = g.analysis.unwrap();
         assert!(a.degraded);
@@ -252,7 +311,7 @@ mod tests {
     #[test]
     fn input_cap_rejects_before_any_work() {
         let limits = Limits { max_input_bytes: 8, ..Limits::wild() };
-        let g = analyze_script_guarded("var x = 1;", &limits);
+        let g = guarded("var x = 1;", &limits);
         assert_eq!(g.outcome, OutcomeKind::Rejected);
         assert!(g.analysis.is_none());
         assert_eq!(g.error.unwrap().kind(), "input_too_large");
@@ -261,7 +320,7 @@ mod tests {
     #[test]
     fn depth_bomb_rejects_with_typed_cause() {
         let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
-        let g = analyze_script_guarded(&bomb, &Limits::wild());
+        let g = guarded(&bomb, &Limits::wild());
         assert_eq!(g.outcome, OutcomeKind::Rejected);
         assert_eq!(g.error.unwrap().kind(), "ast_depth_exceeded");
     }
@@ -272,7 +331,7 @@ mod tests {
         // degrade.
         let limits = Limits { max_tokens: 100, ..Limits::wild() };
         let flood = format!("var x = ;;;= {}", "a ".repeat(1_000));
-        let g = analyze_script_guarded(&flood, &limits);
+        let g = guarded(&flood, &limits);
         assert_eq!(g.outcome, OutcomeKind::Rejected);
         assert_eq!(g.error.unwrap().kind(), "token_budget_exceeded");
     }
@@ -281,7 +340,7 @@ mod tests {
     fn node_budget_rejects_wide_programs() {
         let limits = Limits { max_ast_nodes: 50, ..Limits::wild() };
         let wide = "var a=0;".to_string() + &"a=a+1;".repeat(100);
-        let g = analyze_script_guarded(&wide, &limits);
+        let g = guarded(&wide, &limits);
         assert_eq!(g.outcome, OutcomeKind::Rejected);
         assert_eq!(g.error.unwrap().kind(), "ast_node_budget_exceeded");
     }
@@ -290,14 +349,14 @@ mod tests {
     fn cfg_edge_budget_rejects_branchy_programs() {
         let limits = Limits { max_cfg_edges: 3, ..Limits::wild() };
         let branchy = "if (a) { f(); } else { g(); } while (b) { h(); }";
-        let g = analyze_script_guarded(branchy, &limits);
+        let g = guarded(branchy, &limits);
         assert_eq!(g.outcome, OutcomeKind::Rejected);
         assert_eq!(g.error.unwrap().kind(), "cfg_edge_budget_exceeded");
     }
 
     #[test]
     fn lexer_only_mode_keeps_lexical_signal_with_typed_cause() {
-        let g = analyze_script_lexer_only("var x = 1; f(x);", &Limits::wild());
+        let g = lexer_only("var x = 1; f(x);", &Limits::wild());
         assert_eq!(g.outcome, OutcomeKind::Degraded);
         let a = g.analysis.unwrap();
         assert!(a.degraded);
@@ -307,20 +366,17 @@ mod tests {
 
         // The input cap still applies before any work.
         let limits = Limits { max_input_bytes: 4, ..Limits::wild() };
-        let g = analyze_script_lexer_only("var x = 1;", &limits);
+        let g = lexer_only("var x = 1;", &limits);
         assert_eq!(g.outcome, OutcomeKind::Rejected);
     }
 
     #[test]
-    fn trusted_preset_matches_legacy_pipeline() {
-        for src in ["var x = 1;", "", "function f(a) { return a ? a + 1 : 0; }"] {
-            let g = analyze_script_guarded(src, &Limits::trusted());
-            assert_eq!(g.outcome, OutcomeKind::Ok);
-            let a = g.analysis.unwrap();
-            let legacy = crate::analyze_script(src).unwrap();
-            assert_eq!(a.shape.node_count, legacy.shape.node_count);
-            assert_eq!(a.kinds.total(), legacy.kinds.total());
-            assert_eq!(a.tokens.len(), legacy.tokens.len());
-        }
+    fn trusted_preset_keeps_only_the_depth_guard() {
+        let wide = "var a=0;".to_string() + &"a=a+1;".repeat(20_000);
+        assert_eq!(guarded(&wide, &Limits::trusted()).outcome, OutcomeKind::Ok);
+        let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let g = guarded(&bomb, &Limits::trusted());
+        assert_eq!(g.outcome, OutcomeKind::Rejected);
+        assert_eq!(g.error.unwrap().kind(), "ast_depth_exceeded");
     }
 }

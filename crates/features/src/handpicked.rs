@@ -510,10 +510,10 @@ pub(crate) fn byte_entropy(s: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::guarded::analyze_ok;
 
     fn features(src: &str) -> Vec<f32> {
-        handpicked_features(&analyze_script(src).unwrap())
+        handpicked_features(&analyze_ok(src))
     }
 
     fn feature(src: &str, name: &str) -> f32 {
@@ -531,10 +531,8 @@ mod tests {
         for src in
             ["", "var x = 1;", "f();", "'just a string';", "function f(){};", "while(true){}"]
         {
-            if let Ok(a) = analyze_script(src) {
-                for (i, v) in handpicked_features(&a).iter().enumerate() {
-                    assert!(v.is_finite(), "feature {} ({}) = {}", i, FEATURE_NAMES[i], v);
-                }
+            for (i, v) in features(src).iter().enumerate() {
+                assert!(v.is_finite(), "feature {} ({}) = {}", i, FEATURE_NAMES[i], v);
             }
         }
     }

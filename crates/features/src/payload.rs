@@ -5,12 +5,12 @@
 //! 4-gram vocabulary comes from training), so caching final vectors would
 //! tie every cache record to one trained model. Instead the cache stores a
 //! [`FeaturePayload`]: the hand-picked and lint feature values exactly as
-//! computed (f32), plus the *raw* 4-gram counts. Projecting a payload into
-//! any fitted space with
-//! [`VectorSpace::vectorize_payload`](crate::VectorSpace::vectorize_payload)
-//! reproduces [`VectorSpace::vectorize`](crate::VectorSpace::vectorize)
-//! bit for bit: the stored blocks are copied verbatim and the n-gram block
-//! is recomputed from exact integer counts with the same f32 operations.
+//! computed (f32), plus the *raw* 4-gram counts. The payload is also the
+//! unit training fits on, so a vector projected from a replayed payload
+//! with [`VectorSpace::vectorize_payload`](crate::VectorSpace::vectorize_payload)
+//! is bit-identical to the one a fresh analysis yields: the stored blocks
+//! are copied verbatim and the n-gram block is recomputed from exact
+//! integer counts.
 
 use crate::analysis::ScriptAnalysis;
 use crate::handpicked::handpicked_features;
@@ -36,13 +36,11 @@ pub struct FeaturePayload {
 impl FeaturePayload {
     /// Distills one analysis into its cacheable payload.
     pub fn extract(a: &ScriptAnalysis) -> FeaturePayload {
-        let mut ngrams: Vec<(Gram, u32)> = ngram_counts(&a.program).into_iter().collect();
-        ngrams.sort_unstable_by_key(|(g, _)| *g);
         FeaturePayload {
             handpicked: handpicked_features(a),
             lint: a.lint.features(),
             normalize: a.normalize.clone(),
-            ngrams,
+            ngrams: ngram_counts(&a.program),
             degraded: a.degraded,
         }
     }
@@ -51,14 +49,12 @@ impl FeaturePayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
-    use crate::space::{FeatureConfig, VectorSpace};
+    use crate::guarded::analyze_ok;
     use crate::{LintSummary, N_HANDPICKED};
 
     #[test]
     fn extract_carries_all_three_blocks() {
-        let a = analyze_script("var x = 1; if (x) { f(x); }").unwrap();
-        let p = FeaturePayload::extract(&a);
+        let p = FeaturePayload::extract(&analyze_ok("var x = 1; if (x) { f(x); }"));
         assert_eq!(p.handpicked.len(), N_HANDPICKED);
         assert_eq!(p.lint.len(), LintSummary::N_FEATURES);
         assert_eq!(p.normalize.len(), crate::deltas::N_NORMALIZE);
@@ -68,29 +64,9 @@ mod tests {
 
     #[test]
     fn ngram_pairs_are_sorted_and_deduplicated() {
-        let a = analyze_script("var x = 1; var y = 2; var z = 3;").unwrap();
-        let p = FeaturePayload::extract(&a);
+        let p = FeaturePayload::extract(&analyze_ok("var x = 1; var y = 2; var z = 3;"));
         for w in p.ngrams.windows(2) {
             assert!(w[0].0 < w[1].0, "grams must be strictly increasing");
-        }
-    }
-
-    #[test]
-    fn payload_vectorizes_bit_identically_for_every_config() {
-        let srcs = ["var x = 1; f(x);", "function g(a) { return a ? a + 1 : 0; }"];
-        let analyses: Vec<_> = srcs.iter().map(|s| analyze_script(s).unwrap()).collect();
-        for config in [
-            FeatureConfig::default(),
-            FeatureConfig { handpicked: true, ngrams: false, lint: false, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: true, lint: false, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: false, lint: true, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: false, lint: false, normalize: true },
-        ] {
-            let vs = VectorSpace::fit(analyses.iter(), 64, config);
-            for a in &analyses {
-                let payload = FeaturePayload::extract(a);
-                assert_eq!(vs.vectorize_payload(&payload), vs.vectorize(a));
-            }
         }
     }
 }

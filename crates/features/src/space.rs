@@ -2,9 +2,9 @@
 //! (paper §III-B: "each feature is associated with one consistent
 //! dimension").
 
-use crate::analysis::ScriptAnalysis;
-use crate::handpicked::{handpicked_features, FEATURE_NAMES, N_HANDPICKED};
-use crate::ngrams::{ngram_counts, NgramVocab};
+use crate::handpicked::{FEATURE_NAMES, N_HANDPICKED};
+use crate::ngrams::NgramVocab;
+use crate::payload::FeaturePayload;
 use jsdetect_lint::LintSummary;
 use jsdetect_obs::names;
 use serde::{Deserialize, Serialize};
@@ -51,14 +51,13 @@ pub struct VectorSpace {
 }
 
 impl VectorSpace {
-    /// Fits the 4-gram vocabulary on a training corpus of analyses.
+    /// Fits the 4-gram vocabulary on the payloads of a training corpus.
     pub fn fit<'a, I>(corpus: I, max_ngrams: usize, config: FeatureConfig) -> Self
     where
-        I: IntoIterator<Item = &'a ScriptAnalysis>,
+        I: IntoIterator<Item = &'a FeaturePayload>,
     {
         let _t = jsdetect_obs::span(names::SPAN_FIT_SPACE);
-        let docs: Vec<_> = corpus.into_iter().map(|a| ngram_counts(&a.program)).collect();
-        let vocab = NgramVocab::build(docs.iter(), max_ngrams);
+        let vocab = NgramVocab::build(corpus.into_iter().map(|p| p.ngrams.as_slice()), max_ngrams);
         VectorSpace { version: FEATURE_SPACE_VERSION, config, vocab }
     }
 
@@ -85,41 +84,10 @@ impl VectorSpace {
         d
     }
 
-    /// Vectorizes one analyzed script.
-    pub fn vectorize(&self, a: &ScriptAnalysis) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.dim());
-        self.vectorize_into(a, &mut v);
-        v
-    }
-
-    /// Vectorizes into a caller-owned buffer (cleared first), so batch
-    /// vectorization can reuse one scratch row instead of allocating per
-    /// script.
-    pub fn vectorize_into(&self, a: &ScriptAnalysis, out: &mut Vec<f32>) {
-        let _t = jsdetect_obs::span(names::SPAN_VECTORIZE);
-        out.clear();
-        if self.config.handpicked {
-            let _s = jsdetect_obs::span(names::SPAN_HANDPICKED);
-            out.extend(handpicked_features(a));
-        }
-        if self.config.lint {
-            out.extend(a.lint.features());
-        }
-        if self.config.normalize {
-            out.extend_from_slice(&a.normalize);
-        }
-        if self.config.ngrams {
-            let _s = jsdetect_obs::span(names::SPAN_NGRAMS);
-            out.extend(self.vocab.vectorize(&ngram_counts(&a.program)));
-        }
-    }
-
-    /// Vectorizes a cached [`FeaturePayload`](crate::FeaturePayload)
-    /// without touching source text or AST. Bit-identical to
-    /// [`VectorSpace::vectorize`] on the analysis the payload was
-    /// extracted from: the hand-picked and lint blocks are replayed
-    /// verbatim and the n-gram block is recomputed from exact counts.
-    pub fn vectorize_payload(&self, p: &crate::FeaturePayload) -> Vec<f32> {
+    /// Vectorizes one script's [`FeaturePayload`], fresh or replayed from
+    /// the cache: the hand-picked, lint and delta blocks are copied
+    /// verbatim and the n-gram block is computed from the exact counts.
+    pub fn vectorize_payload(&self, p: &FeaturePayload) -> Vec<f32> {
         let _t = jsdetect_obs::span(names::SPAN_VECTORIZE);
         let mut out = Vec::with_capacity(self.dim());
         if self.config.handpicked {
@@ -170,19 +138,27 @@ impl VectorSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::guarded::analyze_ok;
 
-    fn spaces(srcs: &[&str]) -> (VectorSpace, Vec<ScriptAnalysis>) {
-        let analyses: Vec<_> = srcs.iter().map(|s| analyze_script(s).unwrap()).collect();
-        let vs = VectorSpace::fit(analyses.iter(), 64, FeatureConfig::default());
-        (vs, analyses)
+    fn payloads(srcs: &[&str]) -> Vec<FeaturePayload> {
+        srcs.iter().map(|s| FeaturePayload::extract(&analyze_ok(s))).collect()
+    }
+
+    fn spaces(srcs: &[&str]) -> (VectorSpace, Vec<FeaturePayload>) {
+        let payloads = payloads(srcs);
+        let vs = VectorSpace::fit(&payloads, 64, FeatureConfig::default());
+        (vs, payloads)
+    }
+
+    fn only(handpicked: bool, ngrams: bool, lint: bool, normalize: bool) -> FeatureConfig {
+        FeatureConfig { handpicked, ngrams, lint, normalize }
     }
 
     #[test]
     fn consistent_dimensions() {
-        let (vs, analyses) = spaces(&["var x = 1;", "function f() { return 2; }"]);
-        let v0 = vs.vectorize(&analyses[0]);
-        let v1 = vs.vectorize(&analyses[1]);
+        let (vs, payloads) = spaces(&["var x = 1;", "function f() { return 2; }"]);
+        let v0 = vs.vectorize_payload(&payloads[0]);
+        let v1 = vs.vectorize_payload(&payloads[1]);
         assert_eq!(v0.len(), vs.dim());
         assert_eq!(v1.len(), vs.dim());
         assert_ne!(v0, v1);
@@ -190,37 +166,31 @@ mod tests {
 
     #[test]
     fn handpicked_only_config() {
-        let analyses = vec![analyze_script("var x = 1;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: true, ngrams: false, lint: false, normalize: false },
-        );
+        let vs = VectorSpace::fit(&payloads(&["var x = 1;"]), 64, only(true, false, false, false));
         assert_eq!(vs.dim(), crate::handpicked::N_HANDPICKED);
     }
 
     #[test]
     fn ngrams_only_config() {
-        let analyses = vec![analyze_script("var x = 1; var y = 2;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: false, ngrams: true, lint: false, normalize: false },
-        );
+        let corpus = payloads(&["var x = 1; var y = 2;"]);
+        let vs = VectorSpace::fit(&corpus, 64, only(false, true, false, false));
         assert!(vs.dim() > 0);
         assert!(vs.dim() <= 64);
+        assert_eq!(vs.vectorize_payload(&corpus[0]).len(), vs.dim());
     }
 
     #[test]
     fn lint_only_config() {
-        let analyses = vec![analyze_script("var x = 1;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: false, ngrams: false, lint: true, normalize: false },
-        );
+        let vs = VectorSpace::fit(&payloads(&["var x = 1;"]), 64, only(false, false, true, false));
         assert_eq!(vs.dim(), LintSummary::N_FEATURES);
         assert_eq!(vs.dim_name(0), format!("lint:{}", jsdetect_lint::RULE_NAMES[0]));
+    }
+
+    #[test]
+    fn normalize_only_config_copies_the_delta_block() {
+        let corpus = payloads(&["var x = 1; f(x);"]);
+        let vs = VectorSpace::fit(&corpus, 64, only(false, false, false, true));
+        assert_eq!(vs.vectorize_payload(&corpus[0]), corpus[0].normalize);
     }
 
     #[test]
@@ -246,23 +216,20 @@ mod tests {
     #[test]
     fn lint_dimensions_separate_obfuscated_from_clean() {
         let dirty = "while (running) { debugger; step(); }";
-        let (vs, analyses) = spaces(&[dirty, "var x = 1; f(x);"]);
-        let v = vs.vectorize(&analyses[0]);
-        let lint_block = &v[crate::handpicked::N_HANDPICKED
-            ..crate::handpicked::N_HANDPICKED + LintSummary::N_FEATURES];
-        assert!(lint_block.iter().any(|&x| x > 0.0), "{:?}", lint_block);
-        let clean = vs.vectorize(&analyses[1]);
-        let clean_block = &clean[crate::handpicked::N_HANDPICKED
-            ..crate::handpicked::N_HANDPICKED + LintSummary::N_FEATURES];
-        assert!(clean_block.iter().all(|&x| x == 0.0), "{:?}", clean_block);
+        let (vs, payloads) = spaces(&[dirty, "var x = 1; f(x);"]);
+        let lint = crate::handpicked::N_HANDPICKED..crate::handpicked::N_HANDPICKED + N_LINT;
+        let v = vs.vectorize_payload(&payloads[0]);
+        assert!(v[lint.clone()].iter().any(|&x| x > 0.0), "{:?}", &v[lint.clone()]);
+        let clean = vs.vectorize_payload(&payloads[1]);
+        assert!(clean[lint.clone()].iter().all(|&x| x == 0.0), "{:?}", &clean[lint]);
     }
 
     #[test]
     fn serde_roundtrip() {
-        let (vs, analyses) = spaces(&["var x = 1; f(x);"]);
+        let (vs, payloads) = spaces(&["var x = 1; f(x);"]);
         let json = serde_json::to_string(&vs).unwrap();
         let mut back: VectorSpace = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
-        assert_eq!(back.vectorize(&analyses[0]), vs.vectorize(&analyses[0]));
+        assert_eq!(back.vectorize_payload(&payloads[0]), vs.vectorize_payload(&payloads[0]));
     }
 }

@@ -278,7 +278,6 @@ fn remaining_refs(program: &mut Program, pool: &Pool) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;

@@ -136,7 +136,6 @@ fn is_static_member(e: &Expr, object: &str, name: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;

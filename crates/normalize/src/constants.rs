@@ -320,7 +320,6 @@ fn strict_types_differ(l: &LitValue, r: &LitValue) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;

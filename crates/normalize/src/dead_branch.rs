@@ -81,7 +81,6 @@ impl MutVisitor for Eliminate<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;

@@ -120,7 +120,6 @@ impl MutVisitor for Unflatten<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;

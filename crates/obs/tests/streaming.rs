@@ -3,8 +3,8 @@
 //! snapshot consistency while writers are mid-record.
 
 use jsdetect_obs::{bucket_index, Histogram};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Deterministic SplitMix64 — no RNG dependency, stable across runs.
 struct SplitMix64(u64);
@@ -104,31 +104,50 @@ fn quantiles_within_one_bucket_adversarial_spike() {
 /// Snapshots taken while writer threads are mid-record must never show
 /// torn state: counters are monotone across snapshots, and every
 /// histogram's bucket sum is at least its count (`count` is published
-/// last with Release, read first with Acquire).
+/// last with Release, read first with Acquire). Snapshots start only once
+/// every writer has recorded a minimum number of times, and the writers
+/// keep recording until the last snapshot is taken, so every snapshot
+/// races live writers.
 #[test]
 fn concurrent_snapshot_while_writing_is_consistent() {
+    /// Records each writer makes before the first snapshot is taken.
+    const WARM_RECORDS: u64 = 1_000;
+    const WRITERS: usize = 3;
     // Serialized against other obs integration tests via the registry
     // being process-global: use a dedicated counter namespace instead of
     // reset() so parallel test binaries can't interfere mid-run.
     jsdetect_obs::set_enabled(true);
     let stop = Arc::new(AtomicBool::new(false));
-    let writers: Vec<_> = (0..3)
+    let start = Arc::new(Barrier::new(WRITERS + 1));
+    let progress: Arc<Vec<AtomicU64>> = Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
+    let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let stop = stop.clone();
+            let (stop, start, progress) = (stop.clone(), start.clone(), progress.clone());
             std::thread::spawn(move || {
                 let _obs = jsdetect_obs::ScopedCollector::new();
+                start.wait();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let _s = jsdetect_obs::span("stream_concurrent");
                     jsdetect_obs::counter_add("stream_concurrent_ctr", 1);
-                    jsdetect_obs::observe("stream_concurrent_hist", 1 + (w * 1000 + i % 100));
+                    jsdetect_obs::observe(
+                        "stream_concurrent_hist",
+                        1 + (w as u64 * 1000 + i % 100),
+                    );
                     i += 1;
+                    progress[w].store(i, Ordering::Release);
                 }
                 i
             })
         })
         .collect();
+    start.wait();
+    while progress.iter().any(|p| p.load(Ordering::Acquire) < WARM_RECORDS) {
+        std::thread::yield_now();
+    }
 
+    let first_ctr = jsdetect_obs::snapshot().counter("stream_concurrent_ctr");
+    assert!(first_ctr >= WARM_RECORDS * WRITERS as u64, "writers not live: {first_ctr}");
     let mut last_ctr = 0u64;
     let mut last_span = 0u64;
     let mut snaps = 0u64;
@@ -170,6 +189,7 @@ fn concurrent_snapshot_while_writing_is_consistent() {
         }
         snaps += 1;
     }
+    assert!(last_ctr > first_ctr, "no record landed while snapshots were taken");
     stop.store(true, Ordering::Relaxed);
     let written: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
     let errors = errors.lock().unwrap();

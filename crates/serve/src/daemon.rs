@@ -28,7 +28,7 @@ use crate::chaos::{Chaos, ChaosConfig};
 use crate::protocol::{AnalyzeRequest, AnalyzeResponse, Status};
 use crate::queue::{BoundedQueue, PushError};
 use jsdetect::{
-    classify_analyzed, classify_one_cached, AnalysisConfig, CachedScript, Limits, ScriptVerdict,
+    analyze_one_cached, classify_analyzed, AnalysisConfig, CachedScript, Limits, ScriptVerdict,
     TrainedDetectors, DEFAULT_THRESHOLD,
 };
 use jsdetect_ast::{global_interner, INTERNER_EXHAUSTED_MSG};
@@ -628,21 +628,14 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
         limits.deadline_ms =
             if limits.deadline_ms == 0 { remaining } else { limits.deadline_ms.min(remaining) };
     }
-    let config = AnalysisConfig { limits, fail_fast: false };
+    let config = AnalysisConfig { limits };
     let mode = shared.breaker.admit_mode();
-    let verdict = if mode.is_degraded() {
-        let analyzed = degraded_analyze(shared, &job.src, &config);
-        classify_analyzed(analyzed, &shared.detectors, job.top_k, job.threshold)
+    let analyzed = if mode.is_degraded() {
+        degraded_analyze(shared, &job.src, &config)
     } else {
-        classify_one_cached(
-            &job.src,
-            &config,
-            shared.cache.as_deref(),
-            &shared.detectors,
-            job.top_k,
-            job.threshold,
-        )
+        analyze_one_cached(&job.src, &config, shared.cache.as_deref())
     };
+    let verdict = classify_analyzed(analyzed, &shared.detectors, job.top_k, job.threshold);
     (verdict_response(&verdict, mode.is_degraded()), mode)
 }
 
@@ -652,24 +645,9 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
 /// same key a full verdict would, and must not shadow one.
 fn degraded_analyze(shared: &Shared, src: &str, config: &AnalysisConfig) -> CachedScript {
     let hash = ContentHash::of(src.as_bytes());
-    if let Some(rec) = shared.cache.as_deref().and_then(|c| c.get(&hash)) {
-        return CachedScript {
-            hash,
-            outcome: rec.outcome,
-            error_kind: rec.error_kind.clone(),
-            error_msg: rec.error_msg.clone(),
-            payload: rec.payload.clone(),
-            from_cache: true,
-        };
-    }
-    let g = analyze_script_lexer_only(src, &config.limits);
-    CachedScript {
-        hash,
-        outcome: g.outcome,
-        error_kind: g.error.as_ref().map(|e| e.kind().to_string()).unwrap_or_default(),
-        error_msg: g.error.as_ref().map(|e| e.to_string()).unwrap_or_default(),
-        payload: g.analysis.as_ref().map(jsdetect_features::FeaturePayload::extract),
-        from_cache: false,
+    match shared.cache.as_deref().and_then(|c| c.get(&hash)) {
+        Some(rec) => CachedScript::replay(hash, &rec),
+        None => CachedScript::distill(hash, &analyze_script_lexer_only(src, &config.limits)),
     }
 }
 

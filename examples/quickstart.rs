@@ -1,23 +1,24 @@
 //! Quickstart: train the two detectors at a small scale and classify a
 //! few scripts.
 //!
-//! Classification goes through [`classify_one_cached`] — the same
-//! guarded, cache-aware entry the `jsdetect-serve` daemon and the CLI
-//! use — so what you see here is byte-identical to what the service
-//! answers.
+//! Classification goes through [`analyze_one_cached`] and
+//! [`classify_analyzed`] — the same guarded, cache-aware path the
+//! `jsdetect-serve` daemon runs per request — so what you see here is
+//! byte-identical to what the service answers.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use jsdetect_suite::detector::{
-    classify_one_cached, train_pipeline, AnalysisConfig, DetectorConfig, ScriptVerdict, Technique,
-    TrainedDetectors, DEFAULT_THRESHOLD,
+    analyze_one_cached, classify_analyzed, train_pipeline, AnalysisConfig, DetectorConfig,
+    ScriptVerdict, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
 };
 use jsdetect_suite::transform::apply;
 
 fn classify(detectors: &TrainedDetectors, src: &str) -> ScriptVerdict {
-    classify_one_cached(src, &AnalysisConfig::default(), None, detectors, 4, DEFAULT_THRESHOLD)
+    let analyzed = analyze_one_cached(src, &AnalysisConfig::default(), None);
+    classify_analyzed(analyzed, detectors, 4, DEFAULT_THRESHOLD)
 }
 
 fn main() {

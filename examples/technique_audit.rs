@@ -9,19 +9,25 @@
 //! cargo run --release --example technique_audit
 //! ```
 
-use jsdetect_suite::detector::{train_pipeline, DetectorConfig, DEFAULT_THRESHOLD};
-use jsdetect_suite::features::{analyze_script, handpicked_features, FEATURE_NAMES};
+use jsdetect_suite::detector::{
+    analyze_one_cached, classify_analyzed, train_pipeline, AnalysisConfig, DetectorConfig,
+    OutcomeKind, TrainedDetectors, DEFAULT_THRESHOLD,
+};
+use jsdetect_suite::features::FEATURE_NAMES;
 use jsdetect_suite::transform::{apply, Technique};
 
-fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src: &str) {
+fn audit(detectors: &TrainedDetectors, name: &str, src: &str) {
     println!("\n=== {} ({} bytes) ===", name, src.len());
-    let verdict = match detectors.level1.predict(src) {
-        Ok(v) => v,
-        Err(e) => {
-            println!("  not valid JavaScript: {}", e);
+    let analyzed = analyze_one_cached(src, &AnalysisConfig::trusted(), None);
+    let features = match (analyzed.outcome, &analyzed.payload) {
+        (OutcomeKind::Ok, Some(p)) => p.handpicked.clone(),
+        _ => {
+            println!("  not valid JavaScript: {}", analyzed.error_msg);
             return;
         }
     };
+    let report = classify_analyzed(analyzed, detectors, 4, DEFAULT_THRESHOLD);
+    let verdict = report.level1.expect("an ok script has a level-1 verdict");
     println!(
         "  level 1: regular={:.2} minified={:.2} obfuscated={:.2} → {}",
         verdict.regular,
@@ -30,18 +36,14 @@ fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src
         if verdict.is_transformed() { "TRANSFORMED" } else { "regular" }
     );
     if verdict.is_transformed() {
-        let techniques =
-            detectors.level2.predict_techniques(src, 4, DEFAULT_THRESHOLD).unwrap_or_default();
         println!(
             "  level 2 (top-4 over {:.0}% threshold): {}",
             DEFAULT_THRESHOLD * 100.0,
-            techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", ")
+            report.techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", ")
         );
     }
 
     // Show the most telling hand-picked features.
-    let analysis = analyze_script(src).unwrap();
-    let features = handpicked_features(&analysis);
     let show = [
         "avg_chars_per_line",
         "whitespace_ratio",

@@ -4,8 +4,8 @@
 //! never to a failed batch or a wrong answer.
 
 use jsdetect_suite::cache::{AnalysisCache, CacheConfig};
-use jsdetect_suite::detector::{analyze_many_cached, analyze_many_guarded, AnalysisConfig};
-use jsdetect_suite::features::{FeatureConfig, FeaturePayload, VectorSpace};
+use jsdetect_suite::detector::{analyze_many_opt_cached, AnalysisConfig};
+use jsdetect_suite::features::{FeatureConfig, VectorSpace};
 use jsdetect_suite::guard::OutcomeKind;
 use jsdetect_suite::obs;
 use std::path::PathBuf;
@@ -65,7 +65,7 @@ fn counted_scan(
 ) -> (Vec<jsdetect_suite::detector::CachedScript>, u64, u64, u64, u64) {
     obs::set_enabled(true);
     obs::reset();
-    let results = analyze_many_cached(srcs, config, cache);
+    let results = analyze_many_opt_cached(srcs, config, Some(cache));
     let snap = obs::snapshot();
     obs::set_enabled(false);
     (
@@ -102,25 +102,21 @@ fn warm_rescan_is_bit_identical_to_cold_over_the_fixture_corpus() {
 
     // Outcomes and payloads replay exactly; vectors are bit-identical in
     // any space fitted over the corpus.
-    let analyses: Vec<_> = srcs
-        .iter()
-        .map(|s| jsdetect_suite::features::analyze_script(s).expect("fixture parses"))
-        .collect();
-    let space = VectorSpace::fit(analyses.iter(), 120, FeatureConfig::default());
-    for ((c, w), a) in cold.iter().zip(&warm).zip(&analyses) {
+    let fresh = analyze_many_opt_cached(&srcs, &config, None);
+    let space = VectorSpace::fit(
+        fresh.iter().filter_map(|f| f.payload.as_ref()),
+        120,
+        FeatureConfig::default(),
+    );
+    for ((c, w), f) in cold.iter().zip(&warm).zip(&fresh) {
         assert_eq!(c.outcome, OutcomeKind::Ok);
         assert_eq!(c.outcome, w.outcome);
+        assert_eq!(c.outcome, f.outcome);
         assert_eq!(c.payload, w.payload);
-        let fresh = space.vectorize(a);
-        assert_eq!(c.vectorize(&space).as_deref(), Some(fresh.as_slice()));
-        assert_eq!(w.vectorize(&space).as_deref(), Some(fresh.as_slice()));
-    }
-
-    // The cached path agrees with the uncached guarded path.
-    let guarded = analyze_many_guarded(&srcs, &config);
-    for (w, g) in warm.iter().zip(&guarded) {
-        assert_eq!(w.outcome, g.outcome);
-        assert_eq!(w.payload, g.analysis.as_ref().map(FeaturePayload::extract));
+        assert_eq!(c.payload, f.payload);
+        let v = f.vectorize(&space).expect("ok scripts carry a payload");
+        assert_eq!(c.vectorize(&space).as_deref(), Some(v.as_slice()));
+        assert_eq!(w.vectorize(&space).as_deref(), Some(v.as_slice()));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! rejected}, with per-error-kind counters visible in telemetry.
 
 use jsdetect_suite::corpus::chaos_corpus;
-use jsdetect_suite::detector::{analyze_many_guarded, AnalysisConfig};
+use jsdetect_suite::detector::{analyze_many_opt_cached, AnalysisConfig};
 use jsdetect_suite::guard::{OutcomeKind, QuarantineReport};
 use jsdetect_suite::obs;
 use std::sync::Mutex;
@@ -22,38 +22,41 @@ fn chaos_corpus_survives_guarded_batch_analysis() {
 
     obs::set_enabled(true);
     obs::reset();
-    let results = analyze_many_guarded(&refs, &AnalysisConfig::wild());
+    let results = analyze_many_opt_cached(&refs, &AnalysisConfig::wild(), None);
     let snap = obs::snapshot();
     obs::set_enabled(false);
 
     assert_eq!(results.len(), corpus.len());
     let mut quarantine = QuarantineReport::new();
     for (case, r) in corpus.iter().zip(&results) {
-        quarantine.push(case.name, r.outcome, r.error.as_ref());
+        quarantine.push_replayed(case.name, r.outcome, &r.error_kind, &r.error_msg);
         match r.outcome {
             OutcomeKind::Ok => {
-                let a = r
-                    .analysis
+                let p = r
+                    .payload
                     .as_ref()
-                    .unwrap_or_else(|| panic!("case {} is ok but carries no analysis", case.name));
-                assert!(!a.degraded, "case {} is ok but flagged degraded", case.name);
-                assert!(r.error.is_none());
+                    .unwrap_or_else(|| panic!("case {} is ok but carries no payload", case.name));
+                assert!(!p.degraded, "case {} is ok but flagged degraded", case.name);
+                assert!(r.error_kind.is_empty());
             }
             OutcomeKind::Degraded => {
-                let a = r.analysis.as_ref().unwrap_or_else(|| {
+                let p = r.payload.as_ref().unwrap_or_else(|| {
                     panic!("case {} degraded but carries no fallback", case.name)
                 });
-                assert!(a.degraded, "case {} degraded without the degraded bit", case.name);
-                assert!(r.error.is_some());
+                assert!(p.degraded, "case {} degraded without the degraded bit", case.name);
+                assert!(!r.error_kind.is_empty());
             }
             OutcomeKind::Rejected => {
-                assert!(r.analysis.is_none(), "case {} rejected but carries analysis", case.name);
-                let e = r.error.as_ref().expect("rejected cases carry their error");
+                assert!(r.payload.is_none(), "case {} rejected but carries a payload", case.name);
+                // Only resource-class failures reject; syntax failures degrade.
                 assert!(
-                    e.is_resource(),
+                    !matches!(
+                        r.error_kind.as_str(),
+                        "" | "parse_error" | "lex_error" | "service_degraded"
+                    ),
                     "case {} rejected by non-resource error {:?}",
                     case.name,
-                    e
+                    r.error_kind
                 );
             }
         }
@@ -154,7 +157,7 @@ fn chaos_corpus_under_trusted_limits_only_guards_depth() {
             .as_str()
     };
     let picks = [by_name("twelve_mb_input"), by_name("token_flood"), by_name("paren_bomb_50k")];
-    let results = analyze_many_guarded(&picks, &AnalysisConfig::trusted());
+    let results = analyze_many_opt_cached(&picks, &AnalysisConfig::trusted(), None);
     // twelve_mb_input and token_flood are syntactically fine: ok now.
     assert_eq!(results[0].outcome, OutcomeKind::Ok);
     assert_eq!(results[1].outcome, OutcomeKind::Ok);

@@ -5,7 +5,8 @@
 
 use jsdetect_suite::corpus::{packer_set, LabeledSample};
 use jsdetect_suite::detector::{
-    train_pipeline, DetectorConfig, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
+    classify_many_cached, train_pipeline, AnalysisConfig, DetectorConfig, Level1Prediction,
+    OutcomeKind, ScriptVerdict, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
 };
 
 /// One shared training run for the whole file (training dominates cost).
@@ -26,6 +27,23 @@ fn trained() -> &'static (TrainedDetectors, TestPools) {
     })
 }
 
+/// Classifies through the product's source→verdict path under trusted
+/// limits; any outcome other than `Ok` (an unparseable script) is `None`.
+fn classify(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<ScriptVerdict>> {
+    classify_many_cached(srcs, &AnalysisConfig::trusted(), None, detectors, 4, DEFAULT_THRESHOLD)
+        .into_iter()
+        .map(|v| (v.outcome == OutcomeKind::Ok).then_some(v))
+        .collect()
+}
+
+fn level1(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<Level1Prediction>> {
+    classify(detectors, srcs).into_iter().map(|v| v.and_then(|v| v.level1)).collect()
+}
+
+fn level2(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<Vec<f32>>> {
+    classify(detectors, srcs).into_iter().map(|v| v.and_then(|v| v.level2)).collect()
+}
+
 struct TestPools {
     regular: Vec<LabeledSample>,
     minified: Vec<LabeledSample>,
@@ -36,10 +54,10 @@ struct TestPools {
 fn accuracy(
     detectors: &TrainedDetectors,
     samples: &[LabeledSample],
-    check: impl Fn(&jsdetect_suite::detector::Level1Prediction) -> bool,
+    check: impl Fn(&Level1Prediction) -> bool,
 ) -> f64 {
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let mut ok = 0usize;
     let mut n = 0usize;
     for p in preds.iter().flatten() {
@@ -66,7 +84,7 @@ fn level1_separates_held_out_classes() {
 fn level2_top1_identifies_techniques() {
     let (detectors, pools) = trained();
     let srcs: Vec<&str> = pools.level2.iter().map(|s| s.src.as_str()).collect();
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    let probs = level2(detectors, &srcs);
     let mut ok = 0usize;
     let mut n = 0usize;
     for (p, s) in probs.into_iter().zip(&pools.level2) {
@@ -87,14 +105,11 @@ fn detectors_roundtrip_through_json() {
     let (detectors, pools) = trained();
     let json = detectors.to_json().expect("serialization");
     let restored = TrainedDetectors::from_json(&json).expect("deserialization");
-    let sample = &pools.level2[0].src;
-    assert_eq!(
-        detectors.level2.predict_proba(sample).unwrap(),
-        restored.level2.predict_proba(sample).unwrap()
-    );
-    let p1 = detectors.level1.predict(sample).unwrap();
-    let p2 = restored.level1.predict(sample).unwrap();
-    assert_eq!(p1.minified, p2.minified);
+    let sample = [pools.level2[0].src.as_str()];
+    let (v1, v2) = (classify(detectors, &sample), classify(&restored, &sample));
+    let (v1, v2) = (v1[0].as_ref().unwrap(), v2[0].as_ref().unwrap());
+    assert_eq!(v1.level2, v2.level2);
+    assert_eq!(v1.level1.unwrap().minified, v2.level1.unwrap().minified);
 }
 
 #[test]
@@ -104,7 +119,7 @@ fn packer_generalization() {
     let (detectors, _) = trained();
     let samples = packer_set(12, 777);
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let flagged = preds.iter().flatten().filter(|p| p.is_transformed()).count();
     assert!(
         flagged as f64 / samples.len() as f64 >= 0.8,
@@ -119,7 +134,7 @@ fn fresh_regular_scripts_stay_regular() {
     let (detectors, _) = trained();
     let fresh = jsdetect_suite::corpus::regular_corpus(24, 0xFEED_F00D);
     let srcs: Vec<&str> = fresh.iter().map(|s| s.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let regular = preds.iter().flatten().filter(|p| !p.is_transformed()).count();
     assert!(
         regular as f64 / fresh.len() as f64 >= 0.85,
@@ -147,8 +162,7 @@ fn unmonitored_technique_still_flagged_transformed() {
         if obf == *src {
             continue; // no member accesses to rewrite
         }
-        let (Ok(p0), Ok(p1)) = (detectors.level1.predict(src), detectors.level1.predict(&obf))
-        else {
+        let [Some(p0), Some(p1)] = level1(detectors, &[src.as_str(), obf.as_str()])[..] else {
             continue;
         };
         before += p0.obfuscated as f64;
@@ -174,7 +188,7 @@ fn tool_presets_detectable() {
         let mut total = 0usize;
         for (i, src) in base.iter().enumerate() {
             if let Ok(out) = tool.apply(src, i as u64) {
-                if let Ok(p) = detectors.level1.predict(&out) {
+                if let [Some(p)] = level1(detectors, &[out.as_str()])[..] {
                     total += 1;
                     if p.is_transformed() {
                         flagged += 1;
@@ -196,7 +210,7 @@ fn wild_population_shapes() {
     let npm = jsdetect_suite::corpus::npm_population(64, 16, 2500, 5);
     let rate = |pop: &[jsdetect_suite::corpus::WildScript]| {
         let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-        let preds = detectors.level1.predict_many(&srcs);
+        let preds = level1(detectors, &srcs);
         let t = preds.iter().flatten().filter(|p| p.is_transformed()).count();
         t as f64 / pop.len().max(1) as f64
     };
@@ -228,7 +242,13 @@ fn thresholded_topk_reports_applied_technique() {
         9,
     )
     .unwrap();
-    let report = detectors.level2.predict_techniques(&obf, 4, DEFAULT_THRESHOLD).unwrap();
+    let probs =
+        level2(detectors, &[obf.as_str()]).pop().flatten().expect("obfuscated sample analyzes");
+    let report: Vec<Technique> =
+        jsdetect_suite::ml::metrics::thresholded_top_k(&probs, 4, DEFAULT_THRESHOLD)
+            .into_iter()
+            .map(|i| Technique::ALL[i])
+            .collect();
     assert!(
         report.contains(&Technique::IdentifierObfuscation)
             || report.contains(&Technique::GlobalArray),

@@ -14,9 +14,10 @@
 //!    pre-refactor front end. The current pipeline must reproduce every
 //!    bit.
 
+use jsdetect::{analyze_many_opt_cached, AnalysisConfig, OutcomeKind};
 use jsdetect_ast::Atom;
 use jsdetect_corpus::{chaos_corpus, regular_corpus};
-use jsdetect_features::{analyze_script, FeatureConfig, VectorSpace};
+use jsdetect_features::{FeatureConfig, FeaturePayload, VectorSpace};
 use jsdetect_lexer::reference::{tokenize_reference, RefToken, RefTokenKind};
 use jsdetect_lexer::{tokenize, Token, TokenKind};
 use jsdetect_transform::{apply, Technique};
@@ -192,18 +193,22 @@ fn feature_vectors_bit_identical_to_pre_refactor_fixture() {
     let golden: FrontendGolden = serde_json::from_str(&raw).expect("fixture parses");
     assert!(golden.scripts.len() >= 30, "fixture shrank: {}", golden.scripts.len());
 
-    let analyses: Vec<_> = golden
+    let srcs: Vec<&str> = golden.scripts.iter().map(|s| s.src.as_str()).collect();
+    let analyzed = analyze_many_opt_cached(&srcs, &AnalysisConfig::trusted(), None);
+    let payloads: Vec<FeaturePayload> = golden
         .scripts
         .iter()
-        .map(|s| {
-            analyze_script(&s.src).unwrap_or_else(|e| panic!("{} failed to parse: {}", s.label, e))
+        .zip(analyzed)
+        .map(|(s, c)| match (c.outcome, c.payload) {
+            (OutcomeKind::Ok, Some(p)) => p,
+            _ => panic!("{} failed to analyze: {}", s.label, c.error_msg),
         })
         .collect();
-    let space = VectorSpace::fit(analyses.iter(), golden.max_ngrams, FeatureConfig::default());
+    let space = VectorSpace::fit(&payloads, golden.max_ngrams, FeatureConfig::default());
     assert_eq!(space.dim(), golden.dim, "vector dimensionality changed");
 
-    for (s, a) in golden.scripts.iter().zip(&analyses) {
-        let v = space.vectorize(a);
+    for (s, p) in golden.scripts.iter().zip(&payloads) {
+        let v = space.vectorize_payload(p);
         assert_eq!(v.len(), s.vector_bits.len(), "{}: vector length changed", s.label);
         for (i, (got, want)) in v.iter().zip(&s.vector_bits).enumerate() {
             assert_eq!(

@@ -8,16 +8,17 @@
 
 /// A 256-bit BLAKE2s digest of one script's source bytes.
 ///
-/// The first [`ContentHash::PREFIX_LEN`] bytes name the record on disk
-/// (shard directory + file name); the full digest is stored inside the
-/// record and re-checked on read, so a prefix collision degrades to a
-/// cache miss instead of serving the wrong script's features.
+/// The first [`ContentHash::PREFIX_LEN`] bytes key the record in its log
+/// (whose name carries the first hex digit); the full digest is stored
+/// inside the record and re-checked on read, so a prefix collision
+/// degrades to a cache miss instead of serving the wrong script's
+/// features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {
-    /// Bytes of the digest used for the on-disk record name (16 bytes =
-    /// 32 hex characters; the two leading hex characters are the shard).
+    /// Bytes of the digest that key a record in its log (16 bytes = 32 hex
+    /// characters).
     pub const PREFIX_LEN: usize = 16;
 
     /// Hashes `src` with BLAKE2s-256.
@@ -33,26 +34,6 @@ impl ContentHash {
             s.push_str(HEX[(b & 0xf) as usize]);
         }
         s
-    }
-
-    /// Lower-case hex of the record-naming prefix.
-    pub fn prefix_hex(&self) -> String {
-        let mut s = String::with_capacity(Self::PREFIX_LEN * 2);
-        for b in &self.0[..Self::PREFIX_LEN] {
-            s.push_str(HEX[(b >> 4) as usize]);
-            s.push_str(HEX[(b & 0xf) as usize]);
-        }
-        s
-    }
-
-    /// The two-hex-character shard this hash lands in (256 shards).
-    pub fn shard(&self) -> String {
-        format!("{:02x}", self.0[0])
-    }
-
-    /// Shard index in `0..256`.
-    pub fn shard_index(&self) -> usize {
-        self.0[0] as usize
     }
 }
 
@@ -215,13 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_naming() {
+    fn content_hash_hex_is_full_width() {
         let h = ContentHash::of(b"var x = 1;");
         assert_eq!(h.to_hex().len(), 64);
-        assert_eq!(h.prefix_hex().len(), 32);
-        assert!(h.to_hex().starts_with(&h.prefix_hex()));
-        assert_eq!(h.shard(), h.to_hex()[..2].to_string());
-        assert_eq!(h.shard_index(), h.0[0] as usize);
     }
 
     #[test]

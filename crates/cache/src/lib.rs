@@ -15,31 +15,33 @@
 //! [`VectorSpace::vectorize_payload`](jsdetect_features::VectorSpace::vectorize_payload)
 //! turns into a vector bit-identical to one computed from source.
 //!
-//! Storage is a 256-way sharded directory tree with atomic tmp+rename
-//! publishes and an in-memory LRU front ([`AnalysisCache`]); records are a
-//! schema-versioned binary format with a trailing checksum ([`record`]
-//! layout docs). Damage never aborts a batch: corrupt records are evicted
-//! and recomputed, records from other versions are recomputed and
-//! overwritten, and the distinction is observable through the
-//! `cache/hit`, `cache/miss`, `cache/stale_version`, and
-//! `cache/corrupt_evicted` counters.
+//! Storage is [`N_SHARDS`] append-only logs per limits preset, each with a
+//! lazily built offset index, behind an in-memory LRU front
+//! ([`AnalysisCache`]); a put is one appended frame, a lookup one
+//! positioned read. Records are a schema-versioned binary format with a
+//! trailing checksum ([`record`] layout docs). Damage never aborts a
+//! batch: corrupt frames leave the index and are recomputed, records from
+//! other versions are recomputed, the new frame supersedes the old one,
+//! and the distinction is observable through the `cache/hit`,
+//! `cache/miss`, `cache/stale_version`, and `cache/corrupt_evicted`
+//! counters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod blake;
+mod log;
 mod lru;
 mod maintenance;
 mod record;
 mod store;
 
 pub use blake::{blake2s256, checksum64, ContentHash};
+pub use log::N_SHARDS;
 pub use maintenance::{gc, stats, verify, CacheStats, GcReport, VerifyReport};
 pub use record::{
-    decode, decode_embedded, encode, peek_header, CacheRecord, DecodeError, MAGIC,
-    RECORD_SCHEMA_VERSION,
+    decode, decode_embedded, encode, CacheRecord, DecodeError, MAGIC, RECORD_SCHEMA_VERSION,
 };
 pub use store::{
-    preset_tag, AnalysisCache, CacheConfig, PublishInjector, DEFAULT_LRU_CAPACITY, N_SHARDS,
-    PUBLISH_RETRIES, RECORD_EXT,
+    preset_tag, AnalysisCache, CacheConfig, PublishInjector, DEFAULT_LRU_CAPACITY, PUBLISH_RETRIES,
 };

@@ -1,153 +1,205 @@
 //! Offline maintenance over a cache directory: `stats`, `verify`, `gc`.
 //!
-//! These walk the sharded layout directly (no [`AnalysisCache`] handle
-//! needed), so the CLI can inspect or repair a store regardless of which
-//! preset or feature-space version wrote it. A missing directory is an
-//! empty store, not an error — `jsdetect-cli cache stats` on a fresh
-//! checkout should report zeros, not fail.
+//! These read the logs directly (no [`AnalysisCache`] handle needed), so
+//! the CLI can inspect or repair a store regardless of which preset or
+//! feature-space version wrote it. A missing directory is an empty store,
+//! not an error — `jsdetect-cli cache stats` on a fresh checkout should
+//! report zeros, not fail.
+//!
+//! The *live* frame for a key is the last one in its log: the one a lookup
+//! serves. Earlier frames for the same key are superseded and only `gc`
+//! reclaims them. Two-hex shard directories of the old file-per-record
+//! layout are never read; `stats` counts their `.jdc` files and `gc`
+//! deletes them. Run `gc` while no process has the store open: it
+//! replaces each log by rename, and a handle opened earlier would keep
+//! appending to the replaced file.
 //!
 //! [`AnalysisCache`]: crate::AnalysisCache
 
-use crate::record::{decode_embedded, peek_header, DecodeError, RECORD_SCHEMA_VERSION};
-use crate::store::RECORD_EXT;
-use std::collections::BTreeMap;
+use crate::blake::ContentHash;
+use crate::log::{log_index, parse_log_name, scan, Key, Span, FRAME_HEADER};
+use crate::record::decode_embedded;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// What one walked file turned out to be.
-enum Walked {
-    Record(PathBuf, u64),
-    Tmp(PathBuf),
+/// File extension of the old layout's per-record files.
+const LEGACY_EXT: &str = "jdc";
+
+/// One store log under the root.
+struct LogFile {
+    path: PathBuf,
+    index: usize,
+    preset: String,
 }
 
-/// Yields every record / tmp file under `dir`'s two-hex shard directories.
-fn walk(dir: &Path) -> std::io::Result<Vec<Walked>> {
-    let mut out = Vec::new();
+/// What a store root holds.
+#[derive(Default)]
+struct Listing {
+    logs: Vec<LogFile>,
+    /// Old-layout shard directories with their record and tmp files.
+    legacy: Vec<(PathBuf, Vec<PathBuf>)>,
+}
+
+fn list(dir: &Path) -> std::io::Result<Listing> {
+    let mut out = Listing::default();
     if !dir.exists() {
         return Ok(out);
     }
-    for shard in std::fs::read_dir(dir)? {
-        let shard = shard?;
-        let name = shard.file_name();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
         let name = name.to_string_lossy();
-        // Only two-hex shard directories belong to the store; anything
-        // else in the root (user files, other tools) is left alone.
-        if name.len() != 2 || !name.bytes().all(|b| b.is_ascii_hexdigit()) {
-            continue;
-        }
-        if !shard.file_type()?.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(shard.path())? {
-            let entry = entry?;
-            if !entry.file_type()?.is_file() {
-                continue;
+        let kind = entry.file_type()?;
+        if kind.is_file() {
+            if let Some((index, preset)) = parse_log_name(&name) {
+                out.logs.push(LogFile { path: entry.path(), index, preset: preset.to_string() });
             }
-            let path = entry.path();
-            let fname = entry.file_name();
-            let fname = fname.to_string_lossy();
-            if fname.starts_with(".tmp-") {
-                out.push(Walked::Tmp(path));
-            } else if fname.ends_with(&format!(".{}", RECORD_EXT)) {
-                out.push(Walked::Record(path, entry.metadata()?.len()));
+        } else if kind.is_dir() && name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
+            // Only the old layout's two-hex shard directories, and only
+            // its own files in them, belong to the store.
+            let mut files = Vec::new();
+            for f in std::fs::read_dir(entry.path())? {
+                let f = f?;
+                let fname = f.file_name();
+                let fname = fname.to_string_lossy();
+                if f.file_type()?.is_file()
+                    && (fname.starts_with(".tmp-") || fname.ends_with(&format!(".{}", LEGACY_EXT)))
+                {
+                    files.push(f.path());
+                }
             }
+            out.legacy.push((entry.path(), files));
         }
     }
+    out.logs.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(out)
 }
 
-/// Splits a record file name into its `(hash prefix hex, preset tag)`
-/// parts, or `None` when the name does not follow the store's convention.
-fn parse_record_name(path: &Path) -> Option<(String, String)> {
-    let stem = path.file_name()?.to_str()?.strip_suffix(&format!(".{}", RECORD_EXT))?;
-    if stem.len() < 34 || stem.as_bytes()[32] != b'-' {
-        return None;
+/// A scanned log: its handle, its length, and its frames in log order,
+/// each with whether it is live (the last frame for its key).
+struct Scanned {
+    file: File,
+    len: u64,
+    frames: Vec<(Span, bool)>,
+}
+
+fn scan_log(log: &LogFile) -> std::io::Result<Scanned> {
+    let file = File::open(&log.path)?;
+    let len = file.metadata()?.len();
+    let mut spans = Vec::new();
+    scan(&file, 0, len, |span| spans.push(span))?;
+    let mut last: HashMap<Key, usize> = HashMap::new();
+    for (i, span) in spans.iter().enumerate() {
+        last.insert(span.key, i);
     }
-    let prefix = &stem[..32];
-    if !prefix.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
+    let frames = spans.into_iter().enumerate().map(|(i, s)| (s, last[&s.key] == i)).collect();
+    Ok(Scanned { file, len, frames })
+}
+
+/// The verdict on one frame.
+enum Check {
+    /// Decodes, and sits under its own key in its own log.
+    Ok { feature_version: u32, preset: String },
+    /// A well-formed record under another record schema.
+    Stale,
+    /// Damaged or misplaced, with the reason.
+    Corrupt(String),
+}
+
+fn check(file: &File, span: &Span, log: &LogFile) -> Check {
+    let bytes = match span.read(file) {
+        Ok(b) => b,
+        Err(e) => return Check::Corrupt(format!("unreadable: {}", e)),
+    };
+    match decode_embedded(&bytes) {
+        Ok((_, hash, feature_version, preset)) => {
+            if hash.0[..ContentHash::PREFIX_LEN] != span.key {
+                Check::Corrupt("frame key disagrees with embedded record".to_string())
+            } else if log_index(&hash) != log.index || preset != log.preset {
+                Check::Corrupt("record sits in another hash digit's or preset's log".to_string())
+            } else {
+                Check::Ok { feature_version, preset }
+            }
+        }
+        Err(e) if e.is_stale() => Check::Stale,
+        Err(e) => Check::Corrupt(e.to_string()),
     }
-    Some((prefix.to_string(), stem[33..].to_string()))
 }
 
 /// Aggregate figures for one cache directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct CacheStats {
-    /// Readable, current-schema records.
+    /// Live frames that decode under the current record schema.
     pub records: u64,
-    /// Total bytes across all record files.
+    /// Frames a later frame for the same key supersedes (`gc` reclaims
+    /// them).
+    pub superseded: u64,
+    /// Total bytes across all logs.
     pub bytes: u64,
-    /// Record count per limits-preset tag.
+    /// Log files in the store.
+    pub logs: u64,
+    /// Live record count per limits-preset tag.
     pub by_preset: BTreeMap<String, u64>,
-    /// Record count per feature-space version.
+    /// Live record count per feature-space version.
     pub by_feature_version: BTreeMap<u32, u64>,
-    /// Records written under another record schema.
+    /// Live frames written under another record schema.
     pub stale_schema: u64,
-    /// Records that fail checksum / structural validation.
+    /// Live frames that fail checksum / structural validation or sit in
+    /// the wrong log.
     pub corrupt: u64,
-    /// Leftover tmp files from interrupted writers.
-    pub tmp_files: u64,
-    /// Shard directories holding at least one file.
-    pub shards_used: u64,
+    /// Per-record files of the old layout (never read; `gc` deletes them).
+    pub legacy_records: u64,
 }
 
-/// Walks `dir` and summarizes what the store holds.
+/// Scans every log under `dir` and summarizes what the store holds.
 ///
 /// # Errors
 ///
-/// Propagates directory-walk IO errors; unreadable individual records are
+/// Propagates directory-walk and log-open IO errors; unreadable frames are
 /// counted as corrupt instead of failing the walk.
 pub fn stats(dir: &Path) -> std::io::Result<CacheStats> {
     let mut s = CacheStats::default();
-    let mut shards = std::collections::BTreeSet::new();
-    for item in walk(dir)? {
-        match item {
-            Walked::Tmp(path) => {
-                s.tmp_files += 1;
-                if let Some(parent) = path.parent() {
-                    shards.insert(parent.to_path_buf());
-                }
+    let listing = list(dir)?;
+    for (_, files) in &listing.legacy {
+        s.legacy_records +=
+            files.iter().filter(|f| f.extension().is_some_and(|e| e == LEGACY_EXT)).count() as u64;
+    }
+    for log in &listing.logs {
+        let Scanned { file, len, frames } = scan_log(log)?;
+        s.logs += 1;
+        s.bytes += len;
+        for (span, live) in &frames {
+            if !live {
+                s.superseded += 1;
+                continue;
             }
-            Walked::Record(path, len) => {
-                s.bytes += len;
-                if let Some(parent) = path.parent() {
-                    shards.insert(parent.to_path_buf());
+            match check(&file, span, log) {
+                Check::Ok { feature_version, preset } => {
+                    s.records += 1;
+                    *s.by_preset.entry(preset).or_insert(0) += 1;
+                    *s.by_feature_version.entry(feature_version).or_insert(0) += 1;
                 }
-                let bytes = match std::fs::read(&path) {
-                    Ok(b) => b,
-                    Err(_) => {
-                        s.corrupt += 1;
-                        continue;
-                    }
-                };
-                match peek_header(&bytes) {
-                    Ok((schema, _, _)) if schema != RECORD_SCHEMA_VERSION => s.stale_schema += 1,
-                    Ok((_, feature_version, preset)) => {
-                        s.records += 1;
-                        *s.by_preset.entry(preset).or_insert(0) += 1;
-                        *s.by_feature_version.entry(feature_version).or_insert(0) += 1;
-                    }
-                    Err(e) if e.is_stale() => s.stale_schema += 1,
-                    Err(_) => s.corrupt += 1,
-                }
+                Check::Stale => s.stale_schema += 1,
+                Check::Corrupt(_) => s.corrupt += 1,
             }
         }
     }
-    s.shards_used = shards.len() as u64;
     Ok(s)
 }
 
 /// Outcome of a full-store integrity pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct VerifyReport {
-    /// Record files examined.
+    /// Live frames examined.
     pub total: u64,
-    /// Records that fully decode and whose file name matches their
-    /// embedded hash prefix and preset tag.
+    /// Live frames that fully decode and sit under their own key in the
+    /// log their hash digit and preset name.
     pub ok: u64,
-    /// Well-formed records from another schema version.
+    /// Well-formed live frames from another schema version.
     pub stale: u64,
-    /// Damaged or misnamed records, with the reason (path rendered as a
-    /// string so the report serializes with the vendored serde).
+    /// Damaged or misplaced live frames as `(log@offset, reason)`.
     pub corrupt: Vec<(String, String)>,
 }
 
@@ -159,44 +211,27 @@ impl VerifyReport {
     }
 }
 
-/// Fully decodes every record (checksum, structure, payload) and checks
-/// that each file name agrees with the record inside it.
+/// Fully decodes every live frame (checksum, structure, payload) and
+/// checks that it sits in the log its hash digit and preset name.
+/// Superseded frames are never served and are not judged.
 ///
 /// # Errors
 ///
-/// Propagates directory-walk IO errors.
+/// Propagates directory-walk and log-open IO errors.
 pub fn verify(dir: &Path) -> std::io::Result<VerifyReport> {
     let mut report = VerifyReport::default();
-    for item in walk(dir)? {
-        let (path, _) = match item {
-            Walked::Record(p, len) => (p, len),
-            Walked::Tmp(_) => continue,
-        };
-        report.total += 1;
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                report.corrupt.push((path.display().to_string(), format!("unreadable: {}", e)));
-                continue;
-            }
-        };
-        match decode_embedded(&bytes) {
-            Ok((_, hash, _, preset)) => match parse_record_name(&path) {
-                Some((name_prefix, name_preset))
-                    if name_prefix == hash.prefix_hex() && name_preset == preset =>
-                {
-                    report.ok += 1;
-                }
-                Some(_) => report.corrupt.push((
-                    path.display().to_string(),
-                    "file name disagrees with embedded record".to_string(),
+    for log in &list(dir)?.logs {
+        let Scanned { file, frames, .. } = scan_log(log)?;
+        for (span, _) in frames.iter().filter(|(_, live)| *live) {
+            report.total += 1;
+            match check(&file, span, log) {
+                Check::Ok { .. } => report.ok += 1,
+                Check::Stale => report.stale += 1,
+                Check::Corrupt(why) => report.corrupt.push((
+                    format!("{}@{}", log.path.display(), span.offset - FRAME_HEADER as u64),
+                    why,
                 )),
-                None => report
-                    .corrupt
-                    .push((path.display().to_string(), "unparseable record file name".to_string())),
-            },
-            Err(e) if e.is_stale() => report.stale += 1,
-            Err(e) => report.corrupt.push((path.display().to_string(), e.to_string())),
+            }
         }
     }
     Ok(report)
@@ -205,59 +240,81 @@ pub fn verify(dir: &Path) -> std::io::Result<VerifyReport> {
 /// Outcome of a garbage-collection pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct GcReport {
-    /// Records removed because they were written under another schema or
+    /// Frames removed because they were written under another schema or
     /// feature-space version.
     pub removed_stale: u64,
-    /// Records removed because they fail validation.
+    /// Frames removed because they fail validation or sit in the wrong
+    /// log.
     pub removed_corrupt: u64,
-    /// Interrupted-writer tmp files removed.
-    pub removed_tmp: u64,
-    /// Healthy records kept.
+    /// Valid frames removed because a later frame for the same key
+    /// replaces them.
+    pub removed_superseded: u64,
+    /// Old-layout record and tmp files deleted.
+    pub removed_legacy: u64,
+    /// Frames kept.
     pub kept: u64,
 }
 
-/// Removes everything the store can no longer serve: corrupt records,
-/// records from other schema or feature-space versions, and tmp litter.
-/// Records for *other presets* under the current versions are kept — they
-/// are valid answers for their own scans.
+/// Rewrites each log to hold only the newest valid current-version frame
+/// per key, with one tmp-write + rename per log, and deletes the old
+/// layout's files. Frames for *other presets* under the current versions
+/// are kept — they are valid answers for their own scans.
 ///
 /// # Errors
 ///
-/// Propagates directory-walk IO errors; per-file remove failures leave the
-/// file for the next pass rather than aborting.
+/// Propagates directory-walk and log IO errors; a legacy file that cannot
+/// be removed is left for the next pass.
 pub fn gc(dir: &Path, current_feature_version: u32) -> std::io::Result<GcReport> {
     let mut report = GcReport::default();
-    for item in walk(dir)? {
-        match item {
-            Walked::Tmp(path) => {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.removed_tmp += 1;
-                }
-            }
-            Walked::Record(path, _) => {
-                let verdict = std::fs::read(&path)
-                    .map_err(|_| DecodeError::Malformed("unreadable"))
-                    .and_then(|b| decode_embedded(&b).map(|(_, _, fv, _)| fv));
-                match verdict {
-                    Ok(fv) if fv == current_feature_version => report.kept += 1,
-                    Ok(_) => {
-                        if std::fs::remove_file(&path).is_ok() {
-                            report.removed_stale += 1;
-                        }
-                    }
-                    Err(e) if e.is_stale() => {
-                        if std::fs::remove_file(&path).is_ok() {
-                            report.removed_stale += 1;
-                        }
-                    }
-                    Err(_) => {
-                        if std::fs::remove_file(&path).is_ok() {
-                            report.removed_corrupt += 1;
-                        }
-                    }
-                }
+    let listing = list(dir)?;
+    for (shard, files) in &listing.legacy {
+        for f in files {
+            if std::fs::remove_file(f).is_ok() {
+                report.removed_legacy += 1;
             }
         }
+        let _ = std::fs::remove_dir(shard); // only if nothing else is in it
+    }
+    for log in &listing.logs {
+        let Scanned { file, len, frames } = scan_log(log)?;
+        // Newest valid current-version frame per key.
+        let mut keep: HashMap<Key, usize> = HashMap::new();
+        for (i, (span, _)) in frames.iter().enumerate() {
+            match check(&file, span, log) {
+                Check::Ok { feature_version, .. } if feature_version == current_feature_version => {
+                    if keep.insert(span.key, i).is_some() {
+                        report.removed_superseded += 1;
+                    }
+                }
+                Check::Ok { .. } | Check::Stale => report.removed_stale += 1,
+                Check::Corrupt(_) => report.removed_corrupt += 1,
+            }
+        }
+        let mut kept: Vec<usize> = keep.into_values().collect();
+        kept.sort_unstable();
+        report.kept += kept.len() as u64;
+        let kept_bytes: u64 =
+            kept.iter().map(|&i| FRAME_HEADER as u64 + u64::from(frames[i].0.len)).sum();
+        if kept.len() == frames.len() && kept_bytes == len {
+            continue; // nothing to reclaim
+        }
+        if kept.is_empty() {
+            std::fs::remove_file(&log.path)?;
+            continue;
+        }
+        let mut tmp_name = log.path.clone().into_os_string();
+        tmp_name.push(".gc-tmp");
+        let tmp = PathBuf::from(tmp_name);
+        let mut out = std::io::BufWriter::new(File::create(&tmp)?);
+        for &i in &kept {
+            let span = frames[i].0;
+            out.write_all(&span.len.to_le_bytes())?;
+            out.write_all(&span.key)?;
+            out.write_all(&span.read(&file)?)?;
+        }
+        let out = out.into_inner().map_err(|e| e.into_error())?;
+        out.sync_all()?;
+        std::fs::rename(&tmp, &log.path)?;
     }
     Ok(report)
 }
@@ -265,7 +322,7 @@ pub fn gc(dir: &Path, current_feature_version: u32) -> std::io::Result<GcReport>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blake::ContentHash;
+    use crate::log::{frame, log_name};
     use crate::record::{encode, CacheRecord};
     use crate::store::{AnalysisCache, CacheConfig};
     use jsdetect_guard::{Limits, OutcomeKind};
@@ -292,13 +349,26 @@ mod tests {
         }
     }
 
+    fn hash(i: usize) -> ContentHash {
+        ContentHash::of(format!("var v{} = {};", i, i).as_bytes())
+    }
+
     fn seeded(dir: &Path, n: usize) -> AnalysisCache {
         let cache = AnalysisCache::open(CacheConfig::new(dir, &Limits::wild())).unwrap();
         for i in 0..n {
-            let h = ContentHash::of(format!("var v{} = {};", i, i).as_bytes());
-            cache.put(&h, &rec());
+            cache.put(&hash(i), &rec());
         }
         cache
+    }
+
+    /// Appends raw bytes to the log that holds `h`.
+    fn append(cache: &AnalysisCache, h: &ContentHash, bytes: &[u8]) {
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(cache.record_path(h))
+            .unwrap();
+        f.write_all(bytes).unwrap();
     }
 
     #[test]
@@ -310,79 +380,113 @@ mod tests {
     }
 
     #[test]
-    fn stats_counts_records_presets_and_versions() {
+    fn stats_counts_live_and_superseded_frames_presets_and_versions() {
         let dir = scratch();
-        seeded(&dir, 5);
+        let cache = seeded(&dir, 5);
+        cache.put(&hash(0), &rec());
         let s = stats(&dir).unwrap();
         assert_eq!(s.records, 5);
+        assert_eq!(s.superseded, 1);
         assert_eq!(s.by_preset.get("wild"), Some(&5));
         assert_eq!(s.by_feature_version.len(), 1);
         assert!(s.bytes > 0);
-        assert!(s.shards_used >= 1);
+        assert!(s.logs >= 1);
         assert_eq!(s.corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn verify_flags_corruption_and_misnamed_files() {
+    fn verify_flags_corruption_and_misfiled_frames() {
         let dir = scratch();
         let cache = seeded(&dir, 3);
         assert!(verify(&dir).unwrap().is_clean());
 
-        // Corrupt one record in place.
-        let h = ContentHash::of(b"var v0 = 0;");
-        let victim = cache.record_path(&h);
+        // Damage the last byte (the checksum) of one live frame in place.
+        let victim = cache.record_path(&hash(0));
         let mut bytes = std::fs::read(&victim).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
+        let log = LogFile { path: victim.clone(), index: 0, preset: String::new() };
+        let span = scan_log(&log)
+            .unwrap()
+            .frames
+            .iter()
+            .find(|(s, _)| s.key[..] == hash(0).0[..16])
+            .unwrap()
+            .0;
+        bytes[(span.offset + u64::from(span.len) - 1) as usize] ^= 1;
         std::fs::write(&victim, &bytes).unwrap();
 
-        // Plant a record whose file name lies about its content.
+        // A frame whose header key lies about the record inside it.
         let other = ContentHash::of(b"something else entirely");
-        let liar = dir.join(other.shard()).join(format!("{}-wild.jdc", other.prefix_hex()));
-        std::fs::create_dir_all(liar.parent().unwrap()).unwrap();
-        std::fs::write(&liar, encode(&rec(), &h, 2, "wild")).unwrap();
+        append(&cache, &other, &frame(&other, &encode(&rec(), &hash(1), 2, "wild")).unwrap());
+        // A correct frame filed in another digit's log.
+        let stray = (0..).map(hash).find(|h| log_index(h) != log_index(&other)).unwrap();
+        let wrong = dir.join(log_name(log_index(&other), "wild"));
+        let mut f = std::fs::OpenOptions::new().append(true).open(&wrong).unwrap();
+        f.write_all(&frame(&stray, &encode(&rec(), &stray, 2, "wild")).unwrap()).unwrap();
 
         let report = verify(&dir).unwrap();
-        assert_eq!(report.total, 4);
+        assert_eq!(report.total, 5, "{:?}", report);
         assert_eq!(report.ok, 2);
-        assert_eq!(report.corrupt.len(), 2);
+        assert_eq!(report.corrupt.len(), 3, "{:?}", report.corrupt);
         assert!(!report.is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_removes_stale_corrupt_and_tmp_but_keeps_other_presets() {
+    fn gc_keeps_the_newest_current_frames_and_other_presets() {
         let dir = scratch();
         let cache = seeded(&dir, 2);
         let fv = cache.config().feature_version;
+        cache.put(&hash(0), &rec()); // supersedes the first frame for v0
 
         // Another preset at the current version: must survive.
         let trusted = AnalysisCache::open(CacheConfig::new(&dir, &Limits::trusted())).unwrap();
-        let h = ContentHash::of(b"keep me");
-        trusted.put(&h, &rec());
+        let keep = ContentHash::of(b"keep me");
+        trusted.put(&keep, &rec());
 
-        // A stale-feature-version record.
+        // A frame from another feature-space version.
         let mut cfg = CacheConfig::new(&dir, &Limits::wild());
         cfg.feature_version = fv + 1;
         let future = AnalysisCache::open(cfg).unwrap();
-        let h2 = ContentHash::of(b"stale me");
-        future.put(&h2, &rec());
+        let stale = ContentHash::of(b"stale me");
+        future.put(&stale, &rec());
 
-        // A zero-length (corrupt) record and an orphan tmp file.
-        let h3 = ContentHash::of(b"corrupt me");
-        std::fs::create_dir_all(dir.join(h3.shard())).unwrap();
-        std::fs::write(dir.join(h3.shard()).join(format!("{}-wild.jdc", h3.prefix_hex())), b"")
-            .unwrap();
-        std::fs::write(dir.join(h3.shard()).join(".tmp-999-0"), b"partial").unwrap();
+        // A damaged frame, then garbage a crash left at the end of a log.
+        let damaged = ContentHash::of(b"corrupt me");
+        let mut bad = frame(&damaged, &encode(&rec(), &damaged, fv, "wild")).unwrap();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xff;
+        append(&cache, &damaged, &bad);
+        append(&cache, &hash(1), &[0; 7]);
+
+        // The old layout: a record file and tmp litter in a shard dir.
+        let legacy = dir.join("ab");
+        std::fs::create_dir_all(&legacy).unwrap();
+        std::fs::write(legacy.join("0123-wild.jdc"), b"old").unwrap();
+        std::fs::write(legacy.join(".tmp-999-0"), b"partial").unwrap();
+        assert_eq!(stats(&dir).unwrap().legacy_records, 1);
 
         let report = gc(&dir, fv).unwrap();
         assert_eq!(report.kept, 3, "{:?}", report);
         assert_eq!(report.removed_stale, 1);
         assert_eq!(report.removed_corrupt, 1);
-        assert_eq!(report.removed_tmp, 1);
-        assert!(trusted.record_path(&h).exists());
-        assert!(!future.record_path(&h2).exists());
+        assert_eq!(report.removed_superseded, 1);
+        assert_eq!(report.removed_legacy, 2);
+        assert!(!legacy.exists());
+
+        let s = stats(&dir).unwrap();
+        assert_eq!((s.records, s.superseded, s.corrupt, s.legacy_records), (3, 0, 0, 0), "{:?}", s);
+        assert!(verify(&dir).unwrap().is_clean());
+        let fresh = AnalysisCache::open(CacheConfig::new(&dir, &Limits::wild())).unwrap();
+        assert!(fresh.get(&hash(0)).is_some() && fresh.get(&hash(1)).is_some());
+        assert!(fresh.get(&damaged).is_none());
+        assert!(AnalysisCache::open(CacheConfig::new(&dir, &Limits::trusted()))
+            .unwrap()
+            .get(&keep)
+            .is_some());
+        // A second pass finds nothing to do.
+        let again = gc(&dir, fv).unwrap();
+        assert_eq!(again, GcReport { kept: 3, ..GcReport::default() });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,8 +28,8 @@
 //!
 //! Decoding classifies every failure as either **stale** (a well-formed
 //! record from another schema or feature-space version — recompute,
-//! overwrite) or **corrupt** (truncated, bit-flipped, wrong magic — evict,
-//! recompute). The trailing checksum is what turns silent disk rot into a
+//! supersede) or **corrupt** (truncated, bit-flipped, wrong magic — drop
+//! from the index, recompute). The trailing checksum is what turns silent disk rot into a
 //! typed [`DecodeError::BadChecksum`] instead of garbage features.
 
 use crate::blake::{checksum64, ContentHash};
@@ -84,7 +84,7 @@ pub enum DecodeError {
         found: String,
     },
     /// Well-formed, but the embedded content hash is not the one the
-    /// caller asked for (prefix collision or a renamed file).
+    /// caller asked for (prefix collision or a misfiled frame).
     HashMismatch,
     /// Structurally invalid (a length field runs past the buffer, an
     /// unknown outcome tag, non-UTF-8 text, ...).
@@ -93,7 +93,7 @@ pub enum DecodeError {
 
 impl DecodeError {
     /// Whether the record is merely from another version (recompute and
-    /// overwrite) rather than damaged (evict the file).
+    /// supersede) rather than damaged (drop it from the index).
     pub fn is_stale(&self) -> bool {
         matches!(
             self,
@@ -232,7 +232,7 @@ impl<'a> Reader<'a> {
 /// and schema are verified, and the record's (hash, feature-space version,
 /// preset tag) are returned alongside it for the caller to judge. This is
 /// what `cache verify` uses — it has no external expectations, only the
-/// file itself.
+/// frame itself.
 pub fn decode_embedded(
     bytes: &[u8],
 ) -> Result<(CacheRecord, ContentHash, u32, String), DecodeError> {
@@ -328,27 +328,6 @@ pub fn decode(
         return Err(DecodeError::HashMismatch);
     }
     Ok(record)
-}
-
-/// Reads only the version header of a record (magic, schema, feature
-/// version, preset) after checksum validation — what `cache stats` and
-/// `gc` need without materializing payloads.
-pub fn peek_header(bytes: &[u8]) -> Result<(u16, u32, String), DecodeError> {
-    if bytes.len() < 18 {
-        return Err(DecodeError::Truncated);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    if bytes[..4] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if checksum64(body) != u64::from_le_bytes(trailer.try_into().expect("8-byte slice")) {
-        return Err(DecodeError::BadChecksum);
-    }
-    let mut r = Reader { buf: body, pos: 4 };
-    let schema = r.u16()?;
-    let feature_version = r.u32()?;
-    let preset = r.string()?;
-    Ok((schema, feature_version, preset))
 }
 
 #[cfg(test)]
@@ -448,14 +427,5 @@ mod tests {
         let bytes = encode(&sample_record(), &hash(), 2, "wild");
         let other = ContentHash::of(b"var y = 2;");
         assert_eq!(decode(&bytes, &other, 2, "wild").unwrap_err(), DecodeError::HashMismatch);
-    }
-
-    #[test]
-    fn peek_header_reads_versions() {
-        let bytes = encode(&sample_record(), &hash(), 7, "interactive");
-        let (schema, fv, preset) = peek_header(&bytes).unwrap();
-        assert_eq!(schema, RECORD_SCHEMA_VERSION);
-        assert_eq!(fv, 7);
-        assert_eq!(preset, "interactive");
     }
 }

@@ -1,38 +1,40 @@
-//! The sharded on-disk store with an in-memory LRU front.
+//! The log-structured on-disk store with an in-memory LRU front.
 //!
-//! Layout: `<dir>/<2-hex shard>/<32-hex hash prefix>-<preset>.jdc`, 256
-//! shards keyed by the first digest byte. Writers publish with
-//! write-to-tmp + atomic rename, so readers (in this process or another)
-//! never observe a half-written record; a per-shard mutex serializes this
-//! process's IO per shard so two workers that miss on the same script
-//! don't interleave tmp files. Cross-process writers are safe without
-//! file locks because both sides publish byte-identical content for the
-//! same key and rename is atomic — last writer wins with the same bytes.
+//! Layout: `<dir>/<h>-<preset>.jdl`, [`N_SHARDS`] append-only logs per
+//! limits preset keyed by the first hex digit of the content hash (the
+//! `log` module documents the frame layout). A put appends one frame —
+//! one `write(2)` on an `O_APPEND` handle the cache opens once per log — so
+//! writers in this process and in others never interleave inside a frame.
+//! A lookup goes through a per-log index `hash prefix → (offset, len)` and
+//! one positioned read. A log is indexed on the first lookup that touches
+//! it, in bounded chunks; when a lookup misses, the handle re-checks the
+//! log's length and indexes the new tail, so a record another handle or
+//! process published before the lookup is a hit. A per-log mutex guards
+//! the handle and index; the last frame for a key wins.
 //!
-//! Every failure mode degrades to a recompute, never an abort: a corrupt
-//! record (truncated, bit-flipped, zero-length) is evicted from disk and
-//! counted under `cache/corrupt_evicted`; a record from another
-//! feature-space or schema version is left for `gc` and counted under
-//! `cache/stale_version`; both count a `cache/miss` so hit-rate math stays
-//! honest.
+//! Every failure mode degrades to a recompute, never an abort: every hit
+//! goes through `decode` (checksum, full embedded hash, schema,
+//! feature-space version, preset), so a torn or damaged frame is never
+//! served. A frame that fails decode leaves the index and is counted under
+//! `cache/corrupt_evicted`; the recomputed verdict appends a frame that
+//! supersedes it. A frame from another feature-space or schema version is
+//! counted under `cache/stale_version` and left for `gc`. Both count a
+//! `cache/miss` so hit-rate math stays honest.
 
 use crate::blake::ContentHash;
+use crate::log::{frame, key_of, log_index, log_name, scan, Key, Span, FRAME_HEADER, N_SHARDS};
 use crate::lru::LruMap;
 use crate::record::{decode, encode, CacheRecord};
 use jsdetect_guard::Limits;
 use jsdetect_obs::names;
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of two-hex-prefix shard directories.
-pub const N_SHARDS: usize = 256;
 
 /// Default in-memory LRU capacity (records).
 pub const DEFAULT_LRU_CAPACITY: usize = 4096;
-
-/// File extension of cache records.
-pub const RECORD_EXT: &str = "jdc";
 
 /// Stable tag naming the limits a cached verdict was produced under.
 ///
@@ -94,14 +96,90 @@ pub const PUBLISH_RETRIES: u32 = 2;
 /// the serve chaos layer inject these to exercise the retry path.
 pub type PublishInjector = Box<dyn Fn(u32) -> bool + Send + Sync>;
 
+/// One log: its path, the handle opened on first use, and its index.
+struct Log {
+    path: PathBuf,
+    file: Option<File>,
+    index: HashMap<Key, Span>,
+    /// Every frame before this offset is indexed.
+    resume: u64,
+    /// The log's length when it was last scanned.
+    seen: u64,
+}
+
+impl Log {
+    /// The log's handle, opened on first use: read-only for readonly
+    /// caches, read + append otherwise, created only when `create`.
+    fn file(&mut self, readonly: bool, create: bool) -> std::io::Result<&File> {
+        if self.file.is_none() {
+            let file = if readonly {
+                File::open(&self.path)?
+            } else {
+                OpenOptions::new().read(true).append(true).create(create).open(&self.path)?
+            };
+            self.file = Some(file);
+        }
+        Ok(self.file.as_ref().expect("opened above"))
+    }
+
+    /// Indexes whatever was appended since the last scan.
+    fn catch_up(&mut self) -> std::io::Result<()> {
+        let file = self.file.as_ref().expect("catch_up runs on an open log");
+        let len = file.metadata()?.len();
+        if len == self.seen {
+            return Ok(());
+        }
+        let index = &mut self.index;
+        self.resume = scan(file, self.resume, len, |span| {
+            index.insert(span.key, span);
+        })?;
+        self.seen = len;
+        Ok(())
+    }
+
+    /// The bytes of the last frame filed under `key`, or `None` on a miss.
+    /// A frame that cannot be read whole comes back empty, so `decode`
+    /// counts it as damage.
+    fn read(&mut self, key: &Key, readonly: bool) -> Option<(Span, Vec<u8>)> {
+        self.file(readonly, false).ok()?;
+        let span = match self.index.get(key) {
+            Some(span) => *span,
+            None => {
+                self.catch_up().ok()?;
+                *self.index.get(key)?
+            }
+        };
+        let file = self.file.as_ref().expect("opened above");
+        Some((span, span.read(file).unwrap_or_default()))
+    }
+
+    /// Appends one frame with a single write and indexes it.
+    fn append(&mut self, key: Key, frame: &[u8]) -> std::io::Result<()> {
+        let mut file = self.file(false, true)?;
+        if file.write(frame)? != frame.len() {
+            return Err(std::io::Error::new(std::io::ErrorKind::WriteZero, "short append"));
+        }
+        // The mutex keeps this process's appends apart, so the handle's
+        // offset is the end of the frame just written.
+        let end = file.stream_position()?;
+        let start = end - frame.len() as u64;
+        let len = (frame.len() - FRAME_HEADER) as u32;
+        self.index.insert(key, Span { key, offset: start + FRAME_HEADER as u64, len });
+        if self.resume == self.seen && start == self.seen {
+            self.resume = end;
+            self.seen = end;
+        }
+        Ok(())
+    }
+}
+
 /// A content-addressed feature-vector cache:
 /// `(content hash, feature-space version, limits preset) → CacheRecord`.
 pub struct AnalysisCache {
     config: CacheConfig,
-    /// Per-shard IO locks; index = first digest byte.
-    shards: Vec<Mutex<()>>,
-    lru: Mutex<LruMap<[u8; ContentHash::PREFIX_LEN], Arc<CacheRecord>>>,
-    tmp_seq: AtomicU64,
+    /// The preset's logs; index = first hex digit of the hash.
+    logs: Vec<Mutex<Log>>,
+    lru: Mutex<LruMap<Key, Arc<CacheRecord>>>,
     publish_injector: Mutex<Option<PublishInjector>>,
 }
 
@@ -112,7 +190,8 @@ impl std::fmt::Debug for AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// Opens (creating if needed) the store rooted at `config.dir`.
+    /// Opens (creating if needed) the store rooted at `config.dir`. No log
+    /// is opened or read here; each is indexed on first use.
     ///
     /// # Errors
     ///
@@ -123,15 +202,19 @@ impl AnalysisCache {
         if !config.readonly {
             std::fs::create_dir_all(&config.dir)?;
         }
-        let shards = (0..N_SHARDS).map(|_| Mutex::new(())).collect();
+        let logs = (0..N_SHARDS)
+            .map(|i| {
+                Mutex::new(Log {
+                    path: config.dir.join(log_name(i, &config.preset)),
+                    file: None,
+                    index: HashMap::new(),
+                    resume: 0,
+                    seen: 0,
+                })
+            })
+            .collect();
         let lru = Mutex::new(LruMap::new(config.lru_capacity));
-        Ok(AnalysisCache {
-            config,
-            shards,
-            lru,
-            tmp_seq: AtomicU64::new(0),
-            publish_injector: Mutex::new(None),
-        })
+        Ok(AnalysisCache { config, logs, lru, publish_injector: Mutex::new(None) })
     }
 
     /// Installs (or clears) a publish fault injector; see
@@ -145,22 +228,13 @@ impl AnalysisCache {
         &self.config
     }
 
-    /// The on-disk path of `hash`'s record.
+    /// The path of the log that holds `hash`'s record.
     pub fn record_path(&self, hash: &ContentHash) -> PathBuf {
-        self.config.dir.join(hash.shard()).join(format!(
-            "{}-{}.{}",
-            hash.prefix_hex(),
-            self.config.preset,
-            RECORD_EXT
-        ))
+        self.config.dir.join(log_name(log_index(hash), &self.config.preset))
     }
 
-    fn lru_key(hash: &ContentHash) -> [u8; ContentHash::PREFIX_LEN] {
-        hash.0[..ContentHash::PREFIX_LEN].try_into().expect("prefix length")
-    }
-
-    fn shard_lock(&self, hash: &ContentHash) -> std::sync::MutexGuard<'_, ()> {
-        self.shards[hash.shard_index()].lock().unwrap_or_else(|e| e.into_inner())
+    fn log(&self, hash: &ContentHash) -> std::sync::MutexGuard<'_, Log> {
+        self.logs[log_index(hash)].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks one content hash up. `None` is always a recompute signal; the
@@ -168,49 +242,41 @@ impl AnalysisCache {
     /// through the `cache/*` counters.
     pub fn get(&self, hash: &ContentHash) -> Option<Arc<CacheRecord>> {
         let _t = jsdetect_obs::span(names::SPAN_CACHE_GET);
-        if let Some(rec) =
-            self.lru.lock().unwrap_or_else(|e| e.into_inner()).get(&Self::lru_key(hash))
-        {
+        let key = key_of(hash);
+        if let Some(rec) = self.lru.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
             jsdetect_obs::counter_add(names::CTR_CACHE_HIT, 1);
             return Some(rec);
         }
-        let path = self.record_path(hash);
-        let bytes = {
-            let _guard = self.shard_lock(hash);
-            match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
-                    jsdetect_obs::counter_add(names::CTR_CACHE_MISS, 1);
-                    return None;
-                }
-            }
+        let Some((span, bytes)) = self.log(hash).read(&key, self.config.readonly) else {
+            jsdetect_obs::counter_add(names::CTR_CACHE_MISS, 1);
+            return None;
         };
         match decode(&bytes, hash, self.config.feature_version, &self.config.preset) {
             Ok(rec) => {
                 jsdetect_obs::counter_add(names::CTR_CACHE_HIT, 1);
                 let rec = Arc::new(rec);
-                self.lru
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(Self::lru_key(hash), rec.clone());
+                self.lru.lock().unwrap_or_else(|e| e.into_inner()).insert(key, rec.clone());
                 Some(rec)
             }
             Err(e) if e.is_stale() => {
-                // Valid record from another version: recompute (and let
-                // `put` overwrite / `gc` collect it), but never delete a
-                // file another feature-space version could still serve.
+                // Valid record from another version: recompute (the new
+                // frame supersedes it; `gc` collects it).
                 jsdetect_obs::counter_add(names::CTR_CACHE_STALE_VERSION, 1);
                 jsdetect_obs::counter_add(names::CTR_CACHE_MISS, 1);
                 None
             }
             Err(_) => {
-                // Corrupt on disk: evict the file so the next pass
-                // rewrites it, and drop any memory copy.
+                // Damaged frame: drop it from the index (unless a newer
+                // frame replaced it meanwhile) and from memory, so the
+                // recompute's frame is the one served next.
                 jsdetect_obs::counter_add(names::CTR_CACHE_CORRUPT_EVICTED, 1);
                 jsdetect_obs::counter_add(names::CTR_CACHE_MISS, 1);
-                let _guard = self.shard_lock(hash);
-                let _ = std::fs::remove_file(&path);
-                self.lru.lock().unwrap_or_else(|e| e.into_inner()).remove(&Self::lru_key(hash));
+                let mut log = self.log(hash);
+                if log.index.get(&key) == Some(&span) {
+                    log.index.remove(&key);
+                }
+                drop(log);
+                self.lru.lock().unwrap_or_else(|e| e.into_inner()).remove(&key);
                 None
             }
         }
@@ -228,41 +294,37 @@ impl AnalysisCache {
         }
         let _t = jsdetect_obs::span(names::SPAN_CACHE_PUT);
         let bytes = encode(record, hash, self.config.feature_version, &self.config.preset);
-        let path = self.record_path(hash);
-        let shard_dir = path.parent().expect("record path has a shard directory");
+        let Some(frame) = frame(hash, &bytes) else {
+            // Larger than any frame may hold: never stored.
+            jsdetect_obs::counter_add(names::CTR_CACHE_PUBLISH_FAILED, 1);
+            return;
+        };
         for attempt in 0..=PUBLISH_RETRIES {
             if attempt > 0 {
                 jsdetect_obs::counter_add(names::CTR_CACHE_PUBLISH_RETRIED, 1);
                 // Deterministic jitter: the cache carries no RNG, but the
                 // content hash is uniform — derive the stagger from it so
-                // two workers retrying the same shard don't collide in
+                // two workers retrying the same log don't collide in
                 // lockstep.
                 let jitter = u64::from(hash.0[attempt as usize % hash.0.len()]) % 3;
                 std::thread::sleep(std::time::Duration::from_millis(
                     (1u64 << (attempt - 1)) + jitter,
                 ));
             }
-            if self.publish_attempt(hash, shard_dir, &path, &bytes, attempt) {
+            if self.publish_attempt(hash, &frame, attempt) {
                 jsdetect_obs::counter_add(names::CTR_CACHE_PUT, 1);
                 self.lru
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(Self::lru_key(hash), Arc::new(record.clone()));
+                    .insert(key_of(hash), Arc::new(record.clone()));
                 return;
             }
         }
         jsdetect_obs::counter_add(names::CTR_CACHE_PUBLISH_FAILED, 1);
     }
 
-    /// One tmp-write + atomic-rename publish attempt; returns success.
-    fn publish_attempt(
-        &self,
-        hash: &ContentHash,
-        shard_dir: &Path,
-        path: &Path,
-        bytes: &[u8],
-        attempt: u32,
-    ) -> bool {
+    /// One append attempt; returns success.
+    fn publish_attempt(&self, hash: &ContentHash, frame: &[u8], attempt: u32) -> bool {
         if let Some(injector) =
             self.publish_injector.lock().unwrap_or_else(|e| e.into_inner()).as_ref()
         {
@@ -270,16 +332,7 @@ impl AnalysisCache {
                 return false;
             }
         }
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = shard_dir.join(format!(".tmp-{}-{}", std::process::id(), seq));
-        let _guard = self.shard_lock(hash);
-        let wrote = std::fs::create_dir_all(shard_dir)
-            .and_then(|_| std::fs::write(&tmp, bytes))
-            .and_then(|_| std::fs::rename(&tmp, path));
-        if wrote.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        wrote.is_ok()
+        self.log(hash).append(key_of(hash), frame).is_ok()
     }
 
     /// Drops the in-memory front (disk records stay). Tests use this to
@@ -297,9 +350,10 @@ impl AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintenance::{stats, verify};
     use jsdetect_features::FeaturePayload;
     use jsdetect_guard::OutcomeKind;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -333,6 +387,19 @@ mod tests {
         AnalysisCache::open(CacheConfig::new(dir, &Limits::wild())).unwrap()
     }
 
+    /// Every file under `dir` with its length.
+    fn listing(dir: &Path) -> Vec<(String, u64)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), e.metadata().unwrap().len())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
     #[test]
     fn put_then_get_roundtrips_via_disk_and_memory() {
         let dir = scratch();
@@ -351,17 +418,30 @@ mod tests {
     }
 
     #[test]
-    fn records_land_in_two_hex_shards() {
+    fn open_and_misses_touch_no_log() {
         let dir = scratch();
         let cache = open(&dir);
-        let h = ContentHash::of(b"f();");
-        cache.put(&h, &sample());
+        assert!(cache.get(&ContentHash::of(b"absent();")).is_none());
+        assert!(listing(&dir).is_empty(), "open and a miss must create nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_append_to_one_of_sixteen_logs_per_preset() {
+        let dir = scratch();
+        let cache = open(&dir);
+        for i in 0..64 {
+            cache.put(&ContentHash::of(format!("f{}();", i).as_bytes()), &sample());
+        }
+        let h = ContentHash::of(b"f0();");
         let path = cache.record_path(&h);
-        assert!(path.exists());
-        let shard = path.parent().unwrap().file_name().unwrap().to_str().unwrap();
-        assert_eq!(shard.len(), 2);
-        assert_eq!(shard, &h.to_hex()[..2]);
-        assert!(path.file_name().unwrap().to_str().unwrap().ends_with("-wild.jdc"));
+        assert_eq!(path.parent(), Some(dir.as_path()));
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        assert_eq!(name, format!("{}-wild.jdl", &h.to_hex()[..1]));
+        let files = listing(&dir);
+        assert!(files.len() <= N_SHARDS, "{:?}", files);
+        assert!(files.iter().all(|(n, _)| n.ends_with("-wild.jdl")), "{:?}", files);
+        assert!(files.iter().any(|(n, _)| *n == name));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -378,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn feature_version_bump_is_a_stale_miss_and_put_overwrites() {
+    fn feature_version_bump_is_a_stale_miss_and_put_supersedes() {
         let dir = scratch();
         let h = ContentHash::of(b"h();");
         open(&dir).put(&h, &sample());
@@ -386,31 +466,38 @@ mod tests {
         cfg.feature_version += 1;
         let bumped = AnalysisCache::open(cfg).unwrap();
         assert!(bumped.get(&h).is_none());
-        // The stale file survives the miss (gc's job), but a publish under
-        // the new version overwrites it in place.
-        assert!(bumped.record_path(&h).exists());
+        // The stale frame survives the miss (gc's job); a publish under
+        // the new version appends a frame that supersedes it.
         bumped.put(&h, &sample());
+        bumped.drop_memory();
         assert!(bumped.get(&h).is_some());
+        let s = stats(&dir).unwrap();
+        assert_eq!((s.records, s.superseded), (1, 1), "{:?}", s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_record_is_evicted_and_recovers_on_next_put() {
+    fn corrupt_frame_is_evicted_and_recovers_on_next_put() {
         let dir = scratch();
         let cache = open(&dir);
         let h = ContentHash::of(b"k();");
         cache.put(&h, &sample());
         let path = cache.record_path(&h);
-        // Bit-flip the stored payload.
+        // Bit-flip the stored record.
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
+        let mid = FRAME_HEADER + (bytes.len() - FRAME_HEADER) / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         cache.drop_memory();
         assert!(cache.get(&h).is_none());
-        assert!(!path.exists(), "corrupt record must be evicted from disk");
+        assert!(
+            !cache.log(&h).index.contains_key(&key_of(&h)),
+            "damaged frame must leave the index"
+        );
         cache.put(&h, &sample());
+        cache.drop_memory();
         assert_eq!(*cache.get(&h).unwrap(), sample());
+        assert_eq!(*open(&dir).get(&h).unwrap(), sample(), "the new frame wins on replay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -459,13 +546,15 @@ mod tests {
         let rw = open(&dir);
         let h = ContentHash::of(b"m();");
         rw.put(&h, &sample());
+        let before = listing(&dir);
         let mut cfg = CacheConfig::new(&dir, &Limits::wild());
         cfg.readonly = true;
         let ro = AnalysisCache::open(cfg).unwrap();
         assert!(ro.get(&h).is_some());
-        let h2 = ContentHash::of(b"n();");
-        ro.put(&h2, &sample());
-        assert!(!ro.record_path(&h2).exists());
+        for i in 0..32 {
+            ro.put(&ContentHash::of(format!("n{}();", i).as_bytes()), &sample());
+        }
+        assert_eq!(listing(&dir), before, "a readonly cache must not write");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -511,12 +600,8 @@ mod tests {
             }
         });
         assert_eq!(*cache.get(&h).unwrap(), sample());
-        // No tmp litter left behind.
-        let shard_dir = cache.record_path(&h);
-        for entry in std::fs::read_dir(shard_dir.parent().unwrap()).unwrap() {
-            let name = entry.unwrap().file_name();
-            assert!(!name.to_string_lossy().starts_with(".tmp-"), "leftover tmp file {:?}", name);
-        }
+        assert_eq!(*open(&dir).get(&h).unwrap(), sample());
+        assert!(verify(&dir).unwrap().is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

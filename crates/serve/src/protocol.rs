@@ -278,6 +278,43 @@ mod tests {
     }
 
     #[test]
+    fn json_strings_mix_multibyte_text_and_adjacent_escapes() {
+        for (json, want) in [
+            (r#""héllo→wörld""#, "héllo→wörld"),
+            (r#""é\n日\"語\\ü""#, "é\n日\"語\\ü"),
+            (r#""\u00e9é\u65e5日\t""#, "\u{e9}é\u{65e5}日\t"),
+            (r#""\"€\"""#, "\"€\""),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(serde_json::from_str::<String>(json).unwrap(), want, "{}", json);
+        }
+    }
+
+    #[test]
+    fn json_surrogate_pairs_decode_beside_raw_astral_text() {
+        let got: String = serde_json::from_str(r#""a\ud83d\ude00😀\ud834\udd1eb""#).unwrap();
+        assert_eq!(got, "a😀😀𝄞b");
+    }
+
+    #[test]
+    fn json_unterminated_strings_are_errors() {
+        for json in [r#""abc"#, r#""日本"#, r#""abc\"#, r#"{"src":"f();}"#] {
+            let err = serde_json::from_str::<serde_json::JsonValue>(json).unwrap_err();
+            assert!(err.to_string().starts_with("unterminated"), "{}: {}", json, err);
+        }
+    }
+
+    #[test]
+    fn megabyte_source_roundtrips_byte_exact_through_a_request() {
+        let piece = "var s = \"é\\n\\\"日本\"; // 😀 \t\u{1}\r\n";
+        let src: String = piece.repeat((1 << 20) / piece.len() + 1);
+        assert!(src.len() >= 1 << 20);
+        let json = serde_json::to_string(&AnalyzeRequest::new(src.clone())).unwrap();
+        let back: AnalyzeRequest = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.src.as_bytes(), src.as_bytes());
+    }
+
+    #[test]
     fn status_codes_follow_the_overload_contract() {
         assert_eq!(Status::Ok.http_code(), 200);
         assert_eq!(Status::Overloaded.http_code(), 429);

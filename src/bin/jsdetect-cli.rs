@@ -87,9 +87,9 @@ fn main() {
 
 /// Inspects or repairs a content-addressed analysis cache directory
 /// (`cache stats|verify|gc --cache-dir <dir>`). `verify` exits non-zero
-/// when any record is corrupt; `gc` removes corrupt records, records from
-/// other schema / feature-space versions, and interrupted-writer tmp
-/// files.
+/// when any live frame is corrupt or misfiled; `gc` rewrites each log to
+/// the newest valid current-version frame per script and deletes the old
+/// per-record layout's files.
 fn cmd_cache(argv: &[String]) {
     use jsdetect_suite::cache;
 
@@ -119,7 +119,7 @@ fn cmd_cache(argv: &[String]) {
             Ok(r) => {
                 emit(&r);
                 if !r.is_clean() {
-                    eprintln!("cache verify: {} corrupt record(s) under {}", r.corrupt.len(), dir);
+                    eprintln!("cache verify: {} corrupt frame(s) under {}", r.corrupt.len(), dir);
                     std::process::exit(1);
                 }
             }

@@ -3,14 +3,15 @@
 //! invalidate observably, and on-disk damage degrades to recomputation —
 //! never to a failed batch or a wrong answer.
 
-use jsdetect_suite::cache::{AnalysisCache, CacheConfig};
+use jsdetect_suite::cache::{AnalysisCache, CacheConfig, CacheRecord, ContentHash};
 use jsdetect_suite::detector::{analyze_many_opt_cached, AnalysisConfig};
-use jsdetect_suite::features::{FeatureConfig, VectorSpace};
+use jsdetect_suite::features::{FeatureConfig, FeaturePayload, VectorSpace};
 use jsdetect_suite::guard::OutcomeKind;
 use jsdetect_suite::obs;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 /// The telemetry registry is process-global; tests that enable/reset it
 /// must not interleave.
@@ -225,6 +226,27 @@ fn preset_change_forces_plain_misses_not_cross_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The frames of one log as `(key, frame start, frame end)`, read by
+/// walking the documented frame layout (`len u32 | 16-byte key | record`)
+/// of an undamaged log.
+fn frames_of(log: &Path) -> Vec<([u8; 16], usize, usize)> {
+    let bytes = std::fs::read(log).expect("log readable");
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let key: [u8; 16] = bytes[pos + 4..pos + 20].try_into().unwrap();
+        out.push((key, pos, pos + 20 + len));
+        pos += 20 + len;
+    }
+    assert_eq!(pos, bytes.len(), "undamaged log must end on a frame boundary");
+    out
+}
+
+fn key(hash: &ContentHash) -> [u8; 16] {
+    hash.0[..16].try_into().unwrap()
+}
+
 #[test]
 fn corrupted_records_are_evicted_recomputed_and_rewritten() {
     let _g = locked();
@@ -236,15 +258,30 @@ fn corrupted_records_are_evicted_recomputed_and_rewritten() {
     let store = open(&dir, &config);
     let (cold, ..) = counted_scan(&srcs, &config, &store);
 
-    // Damage three records three different ways.
-    let paths: Vec<PathBuf> = cold.iter().map(|c| store.record_path(&c.hash)).collect();
-    let truncated = std::fs::read(&paths[0]).unwrap();
-    std::fs::write(&paths[0], &truncated[..truncated.len() / 2]).unwrap();
-    let mut flipped = std::fs::read(&paths[1]).unwrap();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x01;
-    std::fs::write(&paths[1], &flipped).unwrap();
-    std::fs::write(&paths[2], b"").unwrap();
+    // Damage three frames three different ways. Cut a log short in the
+    // middle of its last frame (a crash mid-append)...
+    let cut_log = store.record_path(&cold[0].hash);
+    let (cut_key, start, end) = *frames_of(&cut_log).last().unwrap();
+    let bytes = std::fs::read(&cut_log).unwrap();
+    std::fs::write(&cut_log, &bytes[..(start + end) / 2]).unwrap();
+    let others: Vec<&ContentHash> =
+        cold.iter().map(|c| &c.hash).filter(|h| key(h) != cut_key).take(2).collect();
+    let frame_of = |hash: &ContentHash| {
+        let log = store.record_path(hash);
+        let (_, start, end) =
+            frames_of(&log).into_iter().find(|(k, ..)| *k == key(hash)).expect("frame present");
+        (log, start, end)
+    };
+    // ...flip one byte inside another frame's record...
+    let (log, start, end) = frame_of(others[0]);
+    let mut flipped = std::fs::read(&log).unwrap();
+    flipped[(start + 20 + end) / 2] ^= 0x01;
+    std::fs::write(&log, &flipped).unwrap();
+    // ...and zero a third frame's record in place.
+    let (log, start, end) = frame_of(others[1]);
+    let mut zeroed = std::fs::read(&log).unwrap();
+    zeroed[start + 20..end].fill(0);
+    std::fs::write(&log, &zeroed).unwrap();
 
     // The rescan still succeeds, evicts all three, and recomputes.
     let (warm, hits, misses, stale, corrupt) = counted_scan(&srcs, &config, &open(&dir, &config));
@@ -257,14 +294,235 @@ fn corrupted_records_are_evicted_recomputed_and_rewritten() {
         assert_eq!(c.payload, w.payload, "recomputed payloads must match the originals");
     }
 
-    // The damaged records were rewritten: a third pass is all hits and
-    // the store verifies clean.
+    // The recomputed frames supersede the damaged ones: a third pass is
+    // all hits and the store verifies clean.
     let (_, hits, misses, _, corrupt) = counted_scan(&srcs, &config, &open(&dir, &config));
     assert_eq!((hits, misses, corrupt), (srcs.len() as u64, 0, 0));
     let report = jsdetect_suite::cache::verify(&dir).expect("verify walk");
     assert!(report.is_clean(), "corrupt after repair: {:?}", report.corrupt);
     assert_eq!(report.ok, srcs.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A distinct record per index, so a replay of the wrong frame shows.
+fn record(i: usize) -> CacheRecord {
+    CacheRecord {
+        outcome: OutcomeKind::Degraded,
+        error_kind: format!("kind-{}", i),
+        error_msg: "x".repeat(i % 97),
+        payload: Some(FeaturePayload {
+            handpicked: vec![i as f32, 0.5],
+            lint: vec![],
+            normalize: vec![1.0],
+            ngrams: (0..i % 13).map(|g| ([g as u8, 1, 2, 3], i as u32)).collect(),
+            degraded: true,
+        }),
+    }
+}
+
+fn script_hash(i: usize) -> ContentHash {
+    ContentHash::of(format!("script({});", i).as_bytes())
+}
+
+fn wild_store(dir: &Path) -> AnalysisCache {
+    AnalysisCache::open(CacheConfig::new(dir, &AnalysisConfig::default().limits)).expect("open")
+}
+
+#[test]
+fn torn_frame_followed_by_later_appends_keeps_every_later_frame() {
+    let _g = locked();
+    let dir = scratch();
+    let first = wild_store(&dir);
+    for i in 0..40 {
+        first.put(&script_hash(i), &record(i));
+    }
+    let log = first.record_path(&script_hash(0));
+    // The first half of a frame for a new script, as a crash mid-append
+    // leaves it (copied from a store that holds only that frame).
+    let torn_hash = (1000..).map(script_hash).find(|h| first.record_path(h) == log).unwrap();
+    let solo = scratch();
+    wild_store(&solo).put(&torn_hash, &record(1000));
+    let frame = std::fs::read(wild_store(&solo).record_path(&torn_hash)).unwrap();
+    let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+    f.write_all(&frame[..frame.len() / 2]).unwrap();
+    drop(f);
+
+    // A restarted writer keeps appending, to the torn log among others.
+    let later: Vec<usize> = (40..400).collect();
+    let second = wild_store(&dir);
+    for &i in &later {
+        second.put(&script_hash(i), &record(i));
+    }
+    assert!(
+        later.iter().filter(|&&i| second.record_path(&script_hash(i)) == log).count() >= 5,
+        "the torn log must receive later frames"
+    );
+
+    // Every frame before and after the tear replays; the torn one misses.
+    let fresh = wild_store(&dir);
+    for i in (0..40).chain(later.iter().copied()) {
+        assert_eq!(fresh.get(&script_hash(i)).as_deref(), Some(&record(i)), "script {}", i);
+    }
+    assert!(fresh.get(&torn_hash).is_none());
+    let report = jsdetect_suite::cache::verify(&dir).expect("verify");
+    assert_eq!(report.ok, 400);
+    assert_eq!(report.corrupt.len(), 1, "only the torn frame is damage: {:?}", report.corrupt);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&solo);
+}
+
+#[test]
+fn two_handles_appending_concurrently_lose_no_record() {
+    let _g = locked();
+    let dir = scratch();
+    let handles = [wild_store(&dir), wild_store(&dir)];
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for (t, store) in handles.iter().enumerate() {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                // Disjoint scripts per handle, plus a shared set both
+                // publish (the same verdict, as two scanners would).
+                for i in (t * 300..t * 300 + 300).chain(1000..1050) {
+                    store.put(&script_hash(i), &record(i));
+                }
+            });
+        }
+    });
+    let fresh = wild_store(&dir);
+    for i in (0..600).chain(1000..1050) {
+        assert_eq!(fresh.get(&script_hash(i)).as_deref(), Some(&record(i)), "script {}", i);
+    }
+    let report = jsdetect_suite::cache::verify(&dir).expect("verify");
+    assert!(report.is_clean(), "{:?}", report.corrupt);
+    assert_eq!(report.ok, 650);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_frame_appended_after_a_log_was_indexed_is_a_hit() {
+    let _g = locked();
+    let dir = scratch();
+    let writer = wild_store(&dir);
+    let reader = wild_store(&dir);
+    writer.put(&script_hash(0), &record(0));
+    // The reader indexes the log now...
+    assert_eq!(reader.get(&script_hash(0)).as_deref(), Some(&record(0)));
+    let log = reader.record_path(&script_hash(0));
+    let later = (1..).find(|&i| reader.record_path(&script_hash(i)) == log).unwrap();
+    assert!(reader.get(&script_hash(later)).is_none());
+    // ...and sees what another handle appended afterwards.
+    writer.put(&script_hash(later), &record(later));
+    assert_eq!(reader.get(&script_hash(later)).as_deref(), Some(&record(later)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small deterministic generator (SplitMix64) for the mutation test.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// One random truncation, splice, duplication or bit flip of `log`.
+fn mutate(log: &mut Vec<u8>, rng: &mut Rng) {
+    let n = log.len();
+    match rng.below(5) {
+        0 => log.truncate(rng.below(n + 1)),
+        1 => {
+            // Splice a random slice of the log in at a random position.
+            let from = rng.below(n + 1);
+            let piece = log[from..(from + rng.below(200)).min(n)].to_vec();
+            let at = rng.below(n + 1);
+            log.splice(at..at, piece);
+        }
+        2 => {
+            // Duplicate a random range in place.
+            let from = rng.below(n + 1);
+            let to = (from + rng.below(400)).min(n);
+            let piece = log[from..to].to_vec();
+            log.splice(to..to, piece);
+        }
+        3 => {
+            // Cut a random range out.
+            let from = rng.below(n + 1);
+            let to = (from + rng.below(100)).min(n);
+            log.drain(from..to);
+        }
+        _ => {
+            if n > 0 {
+                log[rng.below(n)] ^= 1 << rng.below(8);
+            }
+        }
+    }
+}
+
+#[test]
+fn log_mutations_never_panic_and_never_serve_a_wrong_record() {
+    let _g = locked();
+    const ITERS: usize = 300;
+    let base = scratch();
+    let seed = wild_store(&base);
+    let n = 48;
+    for i in 0..n {
+        seed.put(&script_hash(i), &record(i));
+    }
+    seed.put(&script_hash(0), &record(0)); // a superseded frame too
+                                           // Mutate the busiest log; the rest of the store stays intact.
+    let log = (0..n)
+        .map(|i| seed.record_path(&script_hash(i)))
+        .max_by_key(|p| std::fs::metadata(p).unwrap().len())
+        .unwrap();
+    let original = std::fs::read(&log).unwrap();
+    let dir = scratch();
+    let check_gets = |store: &AnalysisCache, round: usize| {
+        for i in 0..n {
+            if let Some(got) = store.get(&script_hash(i)) {
+                assert_eq!(*got, record(i), "round {}: wrong record for script {}", round, i);
+            }
+        }
+    };
+    let mut rng = Rng(0x6A64_6C6F_6766_757A);
+    for round in 0..ITERS {
+        let mut bytes = original.clone();
+        for _ in 0..1 + rng.below(3) {
+            mutate(&mut bytes, &mut rng);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&base).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        std::fs::write(dir.join(log.file_name().unwrap()), &bytes).unwrap();
+
+        let store = wild_store(&dir);
+        check_gets(&store, round);
+        // Recompute-and-append on top of the damage, then replay.
+        for i in 0..n {
+            if store.get(&script_hash(i)).is_none() {
+                store.put(&script_hash(i), &record(i));
+            }
+        }
+        check_gets(&wild_store(&dir), round);
+        let _ = jsdetect_suite::cache::stats(&dir);
+        let _ = jsdetect_suite::cache::verify(&dir);
+        let _ = jsdetect_suite::cache::gc(&dir, jsdetect_suite::features::FEATURE_SPACE_VERSION);
+        check_gets(&wild_store(&dir), round);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

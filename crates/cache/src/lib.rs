@@ -19,7 +19,7 @@
 //! lazily built offset index, behind an in-memory LRU front
 //! ([`AnalysisCache`]); a put is one appended frame, a lookup one
 //! positioned read. Records are a schema-versioned binary format with a
-//! trailing checksum ([`record`] layout docs). Damage never aborts a
+//! trailing checksum (layout in the `record` module). Damage never aborts a
 //! batch: corrupt frames leave the index and are recomputed, records from
 //! other versions are recomputed, the new frame supersedes the old one,
 //! and the distinction is observable through the `cache/hit`,

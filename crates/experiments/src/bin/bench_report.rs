@@ -1,6 +1,6 @@
 //! Persisted perf trajectory for the ML hot paths.
 //!
-//! Measures forest fit (legacy row-major vs columnar presorted), forest
+//! Measures forest fit (legacy row-major vs columnar), forest
 //! inference (serial row-major vs flattened batch), front-end tokenization
 //! (zero-copy byte-level scanner vs the preserved char-level reference),
 //! and parallel script analysis at a fixed synthetic scale mirroring the
@@ -11,8 +11,10 @@
 //!
 //! Flags: `--smoke` (tiny scale, standalone output file for CI),
 //! `--out-file <path>` (default `BENCH_ml.json`), `--label <name>`
-//! (trajectory entry label; an existing entry with the same label is
-//! replaced), `--seed <u64>` (synthetic-data seed, default 42),
+//! (trajectory entry label, default the short git SHA of the working
+//! tree, or `current` outside git; an existing entry with the same label
+//! is replaced, so runs at a new commit append), `--seed <u64>`
+//! (synthetic-data seed, default 42),
 //! `--scale <f64>` (multiplier on row/script counts, default 1.0).
 //!
 //! Each entry also records provenance (seed, scale, git SHA, feature-space
@@ -359,7 +361,7 @@ fn main() {
         if smoke {
             "smoke".to_string()
         } else {
-            "current".to_string()
+            git_sha().unwrap_or_else(|| "current".to_string())
         }
     });
 

@@ -1,7 +1,7 @@
 //! Gaussian naive Bayes — the NoFus-style baseline used in the paper's
 //! off-the-shelf model comparison (§III-D3).
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, DatasetError};
 use serde::{Deserialize, Serialize};
 
 /// A fitted Gaussian naive-Bayes binary classifier.
@@ -18,39 +18,25 @@ pub struct GaussianNb {
 const VAR_FLOOR: f64 = 1e-6;
 
 impl GaussianNb {
-    /// Fits means/variances per class.
+    /// Fits means/variances per class on row-major samples (convenience
+    /// wrapper that builds a columnar [`Dataset`] once and delegates to
+    /// [`GaussianNb::fit_dataset`]).
     ///
     /// # Panics
     ///
-    /// Panics on an empty dataset or mismatched lengths.
+    /// Panics if `x` is empty, ragged, or `x.len() != y.len()`.
     pub fn fit(x: &[Vec<f32>], y: &[bool]) -> Self {
-        assert!(!x.is_empty(), "cannot fit naive bayes on an empty dataset");
-        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-        let d = x[0].len();
-        let n_pos = y.iter().filter(|&&l| l).count();
-        let prior_pos = (n_pos as f64 + 1.0) / (x.len() as f64 + 2.0); // Laplace
-        let stats = |cls: bool| -> Vec<(f64, f64)> {
-            let rows: Vec<&Vec<f32>> =
-                x.iter().zip(y).filter(|(_, &l)| l == cls).map(|(r, _)| r).collect();
-            (0..d)
-                .map(|j| {
-                    if rows.is_empty() {
-                        return (0.0, 1.0);
-                    }
-                    let mean = rows.iter().map(|r| r[j] as f64).sum::<f64>() / rows.len() as f64;
-                    let var = rows.iter().map(|r| (r[j] as f64 - mean).powi(2)).sum::<f64>()
-                        / rows.len() as f64;
-                    (mean, var.max(VAR_FLOOR))
-                })
-                .collect()
+        let data = match Dataset::from_rows(x) {
+            Ok(d) => d,
+            Err(DatasetError::Empty) => panic!("cannot fit naive bayes on an empty dataset"),
+            Err(e) => panic!("invalid training matrix: {}", e),
         };
-        GaussianNb { prior_pos, pos: stats(true), neg: stats(false) }
+        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
+        Self::fit_dataset(&data, y)
     }
 
     /// Fits means/variances per class from a columnar dataset. Sums run
-    /// over rows in ascending order per feature — the same accumulation
-    /// order as [`GaussianNb::fit`], so the fitted parameters are
-    /// bit-identical.
+    /// over rows in ascending order per feature.
     ///
     /// # Panics
     ///

@@ -79,18 +79,6 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// A single-row dataset (the batch view of one sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is empty — use [`Dataset::zeros`] for degenerate
-    /// shapes.
-    pub fn from_single_row(row: &[f32]) -> Self {
-        let mut ds = Dataset::zeros(1, row.len());
-        ds.fill_row(0, row);
-        ds
-    }
-
     /// Number of rows (samples).
     pub fn n_rows(&self) -> usize {
         self.n_rows

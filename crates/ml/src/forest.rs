@@ -6,7 +6,7 @@
 //! inference walks contiguous memory instead of per-tree enum node soups.
 
 use crate::dataset::{Dataset, DatasetError};
-use crate::tree::{DecisionTree, FlatNodes, TreeParams};
+use crate::tree::{DecisionTree, FlatNodes, TreeParams, ValueRanks};
 use jsdetect_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,15 +96,10 @@ impl RandomForest {
     ) -> Self {
         assert_eq!(y.len(), data.n_rows(), "feature/label length mismatch");
         let _t = jsdetect_obs::span(names::SPAN_FOREST_FIT);
-        // In the per-node-sort regime, build per-column distinct-value
-        // rank tables once up front and share them read-only across all
-        // trees: they do not depend on the bootstrap index sets, and
-        // nodes counting-sort low-cardinality columns through them.
-        let ranks = (params.n_trees > 1
-            && crate::tree::wants_value_ranks(&params.tree, data.n_rows(), data.n_cols()))
-        .then(|| crate::tree::ValueRanks::build(data))
-        .flatten();
-        let vr = ranks.as_ref();
+        // Per-column distinct-value rank tables do not depend on the
+        // bootstrap index sets: build them once and share them read-only
+        // across all trees.
+        let ranks = &ValueRanks::build(data);
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
         let chunk = params.n_trees.div_ceil(n_threads.max(1)).max(1);
         crossbeam::thread::scope(|scope| {
@@ -117,14 +112,8 @@ impl RandomForest {
                         let i = base + off;
                         let mut rng = StdRng::seed_from_u64(params.tree_seed(i));
                         let idx = sample_indices(data.n_rows(), params.bootstrap, &mut rng);
-                        *slot = Some(DecisionTree::fit_dataset_with_ranks(
-                            data,
-                            &idx,
-                            y,
-                            &params.tree,
-                            &mut rng,
-                            vr,
-                        ));
+                        *slot =
+                            Some(DecisionTree::grow(data, ranks, &idx, y, &params.tree, &mut rng));
                     }
                     jsdetect_obs::counter_add(names::CTR_TREES_FITTED, slot_chunk.len() as u64);
                 });

@@ -34,4 +34,4 @@ pub use bayes::GaussianNb;
 pub use dataset::{Dataset, DatasetError};
 pub use forest::{ForestParams, RandomForest};
 pub use multilabel::{BaseModel, BaseParams, MultiLabel, Strategy};
-pub use tree::{DecisionTree, MaxFeatures, SplitMode, TreeParams};
+pub use tree::{DecisionTree, MaxFeatures, TreeParams};

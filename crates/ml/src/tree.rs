@@ -2,14 +2,13 @@
 //!
 //! Trees grow over a columnar [`Dataset`] plus a `&[u32]` row-index set
 //! (bootstrap resampling is index resampling — no feature row is ever
-//! cloned). Exact split search sweeps each candidate column in value
-//! order, obtained adaptively: per-column order arrays sorted once per
-//! tree and stably partitioned down the recursion (classic
-//! presorted-CART) when most features are examined per split, or cheap
-//! per-node packed-integer sorts of just the sampled features in the
-//! subsampled √d regime. Histogram-binned search is available for large
-//! corpora. Fitted trees are stored in a flattened struct-of-arrays node
-//! layout traversed without pointer chasing.
+//! cloned). Exact split search sweeps each sampled column in value order,
+//! read off one per-column value-rank table (`ValueRanks`, built once per
+//! forest and shared by all its trees): a node counting-sorts a column
+//! whose cardinality is small relative to the node, and otherwise sorts
+//! packed `(rank << 1) | label` integers. Fitted trees are stored in a
+//! flattened struct-of-arrays node layout traversed without pointer
+//! chasing.
 
 use crate::dataset::{Dataset, DatasetError};
 use rand::rngs::StdRng;
@@ -38,24 +37,6 @@ impl MaxFeatures {
     }
 }
 
-/// Split-search strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum SplitMode {
-    /// Exact search over value-sorted column views: every distinct
-    /// adjacent value pair is a candidate threshold (bit-identical to the
-    /// row-major implementation this replaced).
-    #[default]
-    Exact,
-    /// Histogram-binned search: node values are bucketed into `bins`
-    /// equal-width bins per candidate feature and only bin edges are
-    /// candidate thresholds. Approximate, but O(n) per feature with no
-    /// presorting — intended for very large corpora.
-    Histogram {
-        /// Number of value bins per feature (≥ 2).
-        bins: u16,
-    },
-}
-
 /// Tree-growing parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TreeParams {
@@ -67,10 +48,6 @@ pub struct TreeParams {
     pub min_samples_leaf: usize,
     /// Features considered per split.
     pub max_features: MaxFeatures,
-    /// Split-search strategy. Skipped by serde (older serialized params
-    /// lack the field; it defaults to [`SplitMode::Exact`] on load).
-    #[serde(skip)]
-    pub split_mode: SplitMode,
 }
 
 impl Default for TreeParams {
@@ -80,7 +57,6 @@ impl Default for TreeParams {
             min_samples_split: 4,
             min_samples_leaf: 1,
             max_features: MaxFeatures::Sqrt,
-            split_mode: SplitMode::Exact,
         }
     }
 }
@@ -254,8 +230,8 @@ impl DecisionTree {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is empty, `y.len() != data.n_rows()`, or the
-    /// feature count exceeds `u16::MAX - 1`.
+    /// Panics if `idx` is empty, `y.len() != data.n_rows()`, the feature
+    /// count exceeds `u16::MAX - 1`, or `data` has more than `2^31` rows.
     pub fn fit_dataset(
         data: &Dataset,
         idx: &[u32],
@@ -263,57 +239,38 @@ impl DecisionTree {
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> Self {
-        Self::fit_dataset_with_ranks(data, idx, y, params, rng, None)
+        Self::grow(data, &ValueRanks::build(data), idx, y, params, rng)
     }
 
-    /// [`DecisionTree::fit_dataset`] with optional forest-shared
-    /// [`ValueRanks`]; forests pass them so nodes counting-sort
-    /// low-cardinality columns instead of comparison-sorting them.
-    pub(crate) fn fit_dataset_with_ranks(
+    /// Grows a tree from a prebuilt rank table of `data`; a forest builds
+    /// the table once and passes it to every tree.
+    pub(crate) fn grow(
         data: &Dataset,
+        ranks: &ValueRanks,
         idx: &[u32],
         y: &[bool],
         params: &TreeParams,
         rng: &mut StdRng,
-        ranks: Option<&ValueRanks>,
     ) -> Self {
         assert!(!idx.is_empty(), "cannot fit a tree on an empty dataset");
         assert_eq!(y.len(), data.n_rows(), "feature/label length mismatch");
         assert!(data.n_cols() < LEAF as usize, "feature count exceeds the u16 node layout");
         let n = idx.len();
         let n_features = data.n_cols();
-
-        // Presorted order arrays cost one sort per column per tree plus a
-        // stable partition of every column at every split — profitable
-        // only when most columns are actually examined per node
-        // (MaxFeatures::All and friends). In the subsampled √d regime,
-        // sorting just the k sampled features at each node (packed-u64
-        // sorts over contiguous column gathers) is strictly less work, so
-        // Exact mode picks whichever costs less. All variants scan the
-        // same candidate thresholds and are bit-identical.
-        let use_presort = matches!(params.split_mode, SplitMode::Exact)
-            && presort_profitable(params.max_features.resolve(n_features), n, n_features);
-        let order = if use_presort { presort_columns(data, idx) } else { Vec::new() };
-        let ranks = if use_presort { None } else { ranks };
-        let n_hist = ranks.map_or(0, |r| r.max_distinct);
         let mut grower = Grower {
             data,
             y,
             params,
             rng,
             n_features,
-            use_presort,
             idx: idx.to_vec(),
-            order,
             mask: vec![false; data.n_rows()],
             scratch: Vec::with_capacity(n),
             feat_buf: Vec::with_capacity(n_features),
-            keyed: if use_presort { Vec::new() } else { Vec::with_capacity(n) },
             ranks,
-            hist: vec![0; n_hist],
-            pos_hist: vec![0; n_hist],
-            rank_buf: if ranks.is_some() { Vec::with_capacity(n) } else { Vec::new() },
-            regime_cols: [0; 5],
+            hist: vec![[0; 2]; ranks.max_distinct],
+            rank_buf: Vec::with_capacity(n),
+            regime_cols: [0; 2],
         };
         let mut nodes = FlatNodes::new();
         grower.grow(&mut nodes, 0, n, 0);
@@ -360,8 +317,8 @@ impl DecisionTree {
 
 /// Monotonic total-order key for an f32 (sign-flip trick): `a <= b` for
 /// non-NaN floats iff `sort_key(a) <= sort_key(b)`, with `-0.0` ordered
-/// just below `+0.0` (harmless: the split sweep compares values with `==`,
-/// which treats them as the tie they are).
+/// just below `+0.0` (harmless: [`ValueRanks::build`] assigns ranks by f32
+/// `==`, which treats them as the tie they are).
 #[inline]
 fn sort_key(v: f32) -> u32 {
     let b = v.to_bits();
@@ -372,31 +329,16 @@ fn sort_key(v: f32) -> u32 {
     }
 }
 
-/// Whether maintained presorted order arrays beat per-node sorts: the
-/// per-node alternative costs ~`k · log2(n)` work units per row per
-/// split level, the presort alternative `d` (one partition pass over
-/// every column).
-pub(crate) fn presort_profitable(k: usize, n: usize, d: usize) -> bool {
-    k * (usize::BITS - n.leading_zeros()).max(1) as usize >= d
-}
-
-/// Whether a forest should build shared [`ValueRanks`] for this matrix:
-/// only useful in the per-node-sort regime, where nodes can counting-sort
-/// low-cardinality columns instead of comparison-sorting them.
-pub(crate) fn wants_value_ranks(params: &TreeParams, n: usize, d: usize) -> bool {
-    matches!(params.split_mode, SplitMode::Exact)
-        && !presort_profitable(params.max_features.resolve(d), n, d)
-}
-
 /// Per-column distinct-value tables: for every column, its sorted distinct
 /// values and each row's rank among them. Independent of any bootstrap
 /// index set, so a forest builds this once and shares it read-only across
-/// all trees and threads; a node then derives a column's value-ordered
-/// view by counting over ranks (O(rows + distinct)) instead of sorting
-/// whenever the column's cardinality is small relative to the node.
+/// all trees and threads. A node derives a column's value-ordered view
+/// from the ranks alone: by counting (O(rows + distinct)) when the
+/// column's cardinality is small relative to the node, else by sorting
+/// packed `(rank << 1) | label` integers.
 pub(crate) struct ValueRanks {
     /// `ranks[f * n_rows + r]`: rank of row `r`'s value in column `f`.
-    ranks: Vec<u16>,
+    ranks: Vec<u32>,
     /// Flattened per-column sorted distinct values.
     values: Vec<f32>,
     /// Column `f`'s distinct values live at `offsets[f]..offsets[f + 1]`.
@@ -406,14 +348,17 @@ pub(crate) struct ValueRanks {
 }
 
 impl ValueRanks {
-    /// Builds the tables; `None` when a rank could overflow `u16`.
-    pub(crate) fn build(data: &Dataset) -> Option<ValueRanks> {
+    /// Builds the tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` has more than `2^31` rows, where a packed
+    /// `(rank << 1) | label` would overflow `u32`.
+    pub(crate) fn build(data: &Dataset) -> ValueRanks {
         let n = data.n_rows();
-        if n > u16::MAX as usize {
-            return None;
-        }
+        assert!(n <= 1 << 31, "too many rows for u32 rank packing");
         let d = data.n_cols();
-        let mut ranks = vec![0u16; d * n];
+        let mut ranks = vec![0u32; d * n];
         let mut values = Vec::new();
         let mut offsets = Vec::with_capacity(d + 1);
         offsets.push(0u32);
@@ -435,40 +380,19 @@ impl ValueRanks {
                     values.push(v);
                     prev = Some(v);
                 }
-                ranks[f * n + e as u32 as usize] = (values.len() - 1 - offsets[f] as usize) as u16;
+                ranks[f * n + e as u32 as usize] = (values.len() - 1 - offsets[f] as usize) as u32;
             }
             max_distinct = max_distinct.max(values.len() - offsets[f] as usize);
             offsets.push(values.len() as u32);
         }
-        Some(ValueRanks { ranks, values, offsets, max_distinct })
+        ValueRanks { ranks, values, offsets, max_distinct }
     }
 
     /// Column `f`'s `(sorted distinct values, per-row ranks)`.
-    fn column(&self, f: usize, n_rows: usize) -> (&[f32], &[u16]) {
+    fn column(&self, f: usize, n_rows: usize) -> (&[f32], &[u32]) {
         let vals = &self.values[self.offsets[f] as usize..self.offsets[f + 1] as usize];
         (vals, &self.ranks[f * n_rows..(f + 1) * n_rows])
     }
-}
-
-/// Sorts each feature column's view of the sample multiset once per tree:
-/// `order[f * n + j]` is the dataset row holding the `j`-th smallest value
-/// of feature `f` among `idx`. Keys are packed into one `u64` so the sort
-/// is branch-cheap and allocation-free per column.
-fn presort_columns(data: &Dataset, idx: &[u32]) -> Vec<u32> {
-    let n = idx.len();
-    let d = data.n_cols();
-    let mut order = vec![0u32; d * n];
-    let mut keyed: Vec<u64> = Vec::with_capacity(n);
-    for f in 0..d {
-        let col = data.column(f);
-        keyed.clear();
-        keyed.extend(idx.iter().map(|&r| ((sort_key(col[r as usize]) as u64) << 32) | r as u64));
-        keyed.sort_unstable();
-        for (j, k) in keyed.iter().enumerate() {
-            order[f * n + j] = *k as u32;
-        }
-    }
-    order
 }
 
 /// Inverse of [`sort_key`]: recovers the exact f32 a key was built from.
@@ -478,38 +402,6 @@ fn decode_key(k: u32) -> f32 {
         f32::from_bits(k ^ 0x8000_0000)
     } else {
         f32::from_bits(!k)
-    }
-}
-
-/// Sweeps packed `(sort_key << 32) | row` entries in sorted order,
-/// decoding values straight from the keys (no column reads).
-fn sweep_keyed(
-    keyed: &[u64],
-    y: &[bool],
-    f: u16,
-    n: f64,
-    total_pos: f64,
-    best: &mut Option<(u16, f32, f64)>,
-) {
-    let mut left_n = 0f64;
-    let mut left_pos = 0f64;
-    for w in 0..keyed.len() - 1 {
-        let e = keyed[w];
-        left_n += 1.0;
-        if y[e as u32 as usize] {
-            left_pos += 1.0;
-        }
-        let v = decode_key((e >> 32) as u32);
-        let v_next = decode_key((keyed[w + 1] >> 32) as u32);
-        if v == v_next {
-            continue;
-        }
-        let right_n = n - left_n;
-        let right_pos = total_pos - left_pos;
-        let weighted = (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / n;
-        if best.is_none_or(|(_, _, b)| weighted < b) {
-            *best = Some((f, midpoint(v, v_next), weighted));
-        }
     }
 }
 
@@ -551,8 +443,7 @@ fn sweep_ranked(
 /// the same integer-valued f64 sums.
 fn sweep_hist(
     vals: &[f32],
-    hist: &[u32],
-    pos_hist: &[u32],
+    hist: &[[u32; 2]],
     f: u16,
     n: f64,
     total_pos: f64,
@@ -562,7 +453,7 @@ fn sweep_hist(
     let mut left_pos = 0f64;
     let mut prev: Option<f32> = None;
     for rk in 0..vals.len() {
-        let c = hist[rk];
+        let [c, pos] = hist[rk];
         if c == 0 {
             continue;
         }
@@ -577,42 +468,8 @@ fn sweep_hist(
             }
         }
         left_n += c as f64;
-        left_pos += pos_hist[rk] as f64;
+        left_pos += pos as f64;
         prev = Some(v);
-    }
-}
-
-/// Sweeps one feature's rows in value order, proposing a candidate
-/// threshold between every distinct adjacent value pair and keeping the
-/// lowest weighted Gini in `best`.
-fn sweep_sorted(
-    col: &[f32],
-    y: &[bool],
-    seg: &[u32],
-    f: u16,
-    n: f64,
-    total_pos: f64,
-    best: &mut Option<(u16, f32, f64)>,
-) {
-    let mut left_n = 0f64;
-    let mut left_pos = 0f64;
-    for w in 0..seg.len() - 1 {
-        let r = seg[w] as usize;
-        left_n += 1.0;
-        if y[r] {
-            left_pos += 1.0;
-        }
-        let v = col[r];
-        let v_next = col[seg[w + 1] as usize];
-        if v == v_next {
-            continue;
-        }
-        let right_n = n - left_n;
-        let right_pos = total_pos - left_pos;
-        let weighted = (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / n;
-        if best.is_none_or(|(_, _, b)| weighted < b) {
-            *best = Some((f, midpoint(v, v_next), weighted));
-        }
     }
 }
 
@@ -640,49 +497,30 @@ struct Grower<'a> {
     params: &'a TreeParams,
     rng: &'a mut StdRng,
     n_features: usize,
-    /// Exact mode flavour: `true` maintains presorted order arrays down
-    /// the recursion, `false` sorts only the sampled features per node.
-    use_presort: bool,
     /// The row multiset, partitioned in place down the recursion.
     idx: Vec<u32>,
-    /// Presort flavour only: per-feature presorted views of `idx`
-    /// (column-major, `n_features × idx.len()`), partitioned in lockstep
-    /// with `idx`. Empty otherwise.
-    order: Vec<u32>,
     /// Per-dataset-row side mask for the current split.
     mask: Vec<bool>,
     scratch: Vec<u32>,
     feat_buf: Vec<u16>,
-    /// Per-node sort flavour: reusable packed `(sort_key << 32) | row`
-    /// buffer.
-    keyed: Vec<u64>,
-    /// Forest-shared per-column distinct-value tables; when a column's
-    /// cardinality is small relative to the node, its value-ordered view
-    /// is derived by counting over ranks instead of sorting.
-    ranks: Option<&'a ValueRanks>,
-    /// Counting buffers (sized `max_distinct`): per-rank row count and
-    /// positive-label count for the current node.
-    hist: Vec<u32>,
-    pos_hist: Vec<u32>,
+    /// Per-column distinct-value tables of `data`.
+    ranks: &'a ValueRanks,
+    /// Counting buffer (sized `max_distinct`): per-rank `[rows, positives]`
+    /// for the current node.
+    hist: Vec<[u32; 2]>,
     /// Reusable packed `(rank << 1) | label` sort buffer for
-    /// high-cardinality columns when ranks are available.
+    /// high-cardinality columns.
     rank_buf: Vec<u32>,
-    /// Column-sweep counts per split regime, indexed like
+    /// Column-sweep counts per per-node sort, indexed like
     /// [`REGIME_COUNTERS`]; accumulated locally (the hot loop never takes
     /// the telemetry lock) and flushed once per tree.
-    regime_cols: [u64; 5],
+    regime_cols: [u64; 2],
 }
 
-/// Telemetry counter names for the five split regimes, index-aligned with
-/// `Grower::regime_cols`: presorted order arrays, counting-sort over value
-/// ranks, rank-u32 per-node sort, key-u64 per-node sort, histogram bins.
-const REGIME_COUNTERS: [&str; 5] = [
-    jsdetect_obs::names::CTR_SPLIT_PRESORT_COLS,
-    jsdetect_obs::names::CTR_SPLIT_COUNTING_COLS,
-    jsdetect_obs::names::CTR_SPLIT_RANKED_COLS,
-    jsdetect_obs::names::CTR_SPLIT_KEYED_COLS,
-    jsdetect_obs::names::CTR_SPLIT_HIST_COLS,
-];
+/// Telemetry counter names for the two per-node sorts, index-aligned with
+/// `Grower::regime_cols`: counting sort over value ranks, packed-rank sort.
+const REGIME_COUNTERS: [&str; 2] =
+    [jsdetect_obs::names::CTR_SPLIT_COUNTING_COLS, jsdetect_obs::names::CTR_SPLIT_RANKED_COLS];
 
 impl Grower<'_> {
     /// Grows the subtree over `idx[lo..hi]`; returns the node id.
@@ -696,13 +534,7 @@ impl Grower<'_> {
             return nodes.push_leaf(prob);
         }
 
-        let split = match self.params.split_mode {
-            SplitMode::Exact => self.best_split_exact(lo, hi, positives as f64),
-            SplitMode::Histogram { bins } => {
-                self.best_split_hist(lo, hi, positives as f64, bins.max(2) as usize)
-            }
-        };
-        match split {
+        match self.best_split(lo, hi, positives as f64) {
             Some((feature, threshold)) => {
                 let left_n = self.partition(lo, hi, feature, threshold);
                 if left_n < self.params.min_samples_leaf
@@ -725,24 +557,21 @@ impl Grower<'_> {
 
     /// Draws the per-split feature subset (same RNG consumption as the
     /// legacy row-major path: one full shuffle, then truncate).
-    fn sample_features(&mut self) -> usize {
+    fn sample_features(&mut self) {
         let k = self.params.max_features.resolve(self.n_features);
         self.feat_buf.clear();
         self.feat_buf.extend(0..self.n_features as u16);
         self.feat_buf.shuffle(self.rng);
         self.feat_buf.truncate(k);
-        k
     }
 
     /// Finds the Gini-optimal split over a random feature subset by
-    /// sweeping each candidate column in value order — either a presorted
-    /// view maintained down the recursion, or a per-node packed-u64 sort
-    /// of just this node's rows. The sweep (and hence the chosen split)
-    /// is identical either way; only how the sorted view is obtained
-    /// differs, and neither consumes RNG state.
-    fn best_split_exact(&mut self, lo: usize, hi: usize, total_pos: f64) -> Option<(u16, f32)> {
+    /// sweeping each candidate column in value order. Both per-node sorts
+    /// visit the same candidate thresholds with the same integer-valued
+    /// f64 sums, so the chosen split does not depend on which one a column
+    /// takes, and neither consumes RNG state.
+    fn best_split(&mut self, lo: usize, hi: usize, total_pos: f64) -> Option<(u16, f32)> {
         self.sample_features();
-        let n_total = self.idx.len();
         let n_rows = self.data.n_rows();
         let n_node = hi - lo;
         let n = n_node as f64;
@@ -750,67 +579,32 @@ impl Grower<'_> {
 
         let mut best: Option<(u16, f32, f64)> = None;
         for &f in &feat_buf {
-            if self.use_presort {
+            let (vals, rks) = self.ranks.column(f as usize, n_rows);
+            if vals.len() <= 2 * n_node {
+                // Low cardinality relative to the node: counting sort over
+                // ranks (O(m + distinct) beats O(m log m)).
                 self.regime_cols[0] += 1;
-                let col = self.data.column(f as usize);
-                let seg = &self.order[f as usize * n_total + lo..f as usize * n_total + hi];
-                sweep_sorted(col, self.y, seg, f, n, total_pos, &mut best);
-                continue;
-            }
-            // Counting-sort the column by precomputed value ranks when its
-            // cardinality is small relative to the node (O(m + distinct)
-            // beats O(m log m)); the per-rank sums are integer-valued f64
-            // accumulations, so the sweep is bit-identical to sweeping the
-            // sorted multiset.
-            let counting = self.ranks.and_then(|vr| {
-                let (vals, rks) = vr.column(f as usize, n_rows);
-                (vals.len() <= 2 * n_node).then_some((vals, rks))
-            });
-            if let Some((vals, rks)) = counting {
-                self.regime_cols[1] += 1;
                 let vc = vals.len();
-                self.hist[..vc].fill(0);
-                self.pos_hist[..vc].fill(0);
+                self.hist[..vc].fill([0; 2]);
                 for &r in &self.idx[lo..hi] {
                     let r = r as usize;
                     let rk = rks[r] as usize;
-                    self.hist[rk] += 1;
-                    self.pos_hist[rk] += self.y[r] as u32;
+                    self.hist[rk][0] += 1;
+                    self.hist[rk][1] += self.y[r] as u32;
                 }
-                sweep_hist(
-                    vals,
-                    &self.hist[..vc],
-                    &self.pos_hist[..vc],
-                    f,
-                    n,
-                    total_pos,
-                    &mut best,
-                );
-            } else if let Some(vr) = self.ranks {
-                // High-cardinality column: sort packed `(rank << 1) | label`
-                // u32s — half the bandwidth of value/row keys, and the
-                // sweep compares integer ranks instead of floats.
-                self.regime_cols[2] += 1;
-                let (vals, rks) = vr.column(f as usize, n_rows);
+                sweep_hist(vals, &self.hist[..vc], f, n, total_pos, &mut best);
+            } else {
+                // High cardinality: sort packed `(rank << 1) | label` u32s,
+                // so the sweep compares integer ranks instead of floats.
+                self.regime_cols[1] += 1;
                 self.rank_buf.clear();
                 self.rank_buf.extend(
                     self.idx[lo..hi]
                         .iter()
-                        .map(|&r| ((rks[r as usize] as u32) << 1) | self.y[r as usize] as u32),
+                        .map(|&r| (rks[r as usize] << 1) | self.y[r as usize] as u32),
                 );
                 self.rank_buf.sort_unstable();
                 sweep_ranked(&self.rank_buf, vals, f, n, total_pos, &mut best);
-            } else {
-                self.regime_cols[3] += 1;
-                let col = self.data.column(f as usize);
-                self.keyed.clear();
-                self.keyed.extend(
-                    self.idx[lo..hi]
-                        .iter()
-                        .map(|&r| ((sort_key(col[r as usize]) as u64) << 32) | r as u64),
-                );
-                self.keyed.sort_unstable();
-                sweep_keyed(&self.keyed, self.y, f, n, total_pos, &mut best);
             }
         }
         self.feat_buf = feat_buf;
@@ -824,88 +618,14 @@ impl Grower<'_> {
         }
     }
 
-    /// Histogram-binned split search: O(n) per candidate feature, no
-    /// presorted arrays. Thresholds are equal-width bin edges.
-    fn best_split_hist(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        total_pos: f64,
-        bins: usize,
-    ) -> Option<(u16, f32)> {
-        self.sample_features();
-        self.regime_cols[4] += self.feat_buf.len() as u64;
-        let n = (hi - lo) as f64;
-        let mut bin_n = vec![0u32; bins];
-        let mut bin_pos = vec![0u32; bins];
-
-        let mut best: Option<(u16, f32, f64)> = None;
-        for &f in &self.feat_buf {
-            let col = self.data.column(f as usize);
-            let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &r in &self.idx[lo..hi] {
-                let v = col[r as usize];
-                min = min.min(v);
-                max = max.max(v);
-            }
-            // f32::min/max skip NaN operands, so min/max are never NaN.
-            if min >= max {
-                continue; // constant (or non-finite) feature: no split
-            }
-            bin_n.iter_mut().for_each(|c| *c = 0);
-            bin_pos.iter_mut().for_each(|c| *c = 0);
-            let scale = bins as f32 / (max - min);
-            for &r in &self.idx[lo..hi] {
-                let r = r as usize;
-                let b = (((col[r] - min) * scale) as usize).min(bins - 1);
-                bin_n[b] += 1;
-                if self.y[r] {
-                    bin_pos[b] += 1;
-                }
-            }
-            let mut left_n = 0f64;
-            let mut left_pos = 0f64;
-            let width = (max - min) / bins as f32;
-            for b in 0..bins - 1 {
-                left_n += bin_n[b] as f64;
-                left_pos += bin_pos[b] as f64;
-                if left_n == 0.0 || left_n == n {
-                    continue;
-                }
-                let right_n = n - left_n;
-                let right_pos = total_pos - left_pos;
-                let weighted =
-                    (left_n * gini(left_pos, left_n) + right_n * gini(right_pos, right_n)) / n;
-                if best.is_none_or(|(_, _, bst)| weighted < bst) {
-                    best = Some((f, min + width * (b + 1) as f32, weighted));
-                }
-            }
-        }
-        let parent_gini = gini(total_pos, n);
-        match best {
-            Some((f, t, g)) if g <= parent_gini + 1e-12 => Some((f, t)),
-            _ => None,
-        }
-    }
-
     /// Routes the node's rows by the chosen split and stably partitions
-    /// `idx` (and, in the presort flavour, every presorted column) in
-    /// place. Returns the left-side size.
+    /// `idx` in place. Returns the left-side size.
     fn partition(&mut self, lo: usize, hi: usize, feature: u16, threshold: f32) -> usize {
         let col = self.data.column(feature as usize);
         for &r in &self.idx[lo..hi] {
             self.mask[r as usize] = col[r as usize] <= threshold;
         }
-        let left_n = stable_partition(&mut self.idx[lo..hi], &self.mask, &mut self.scratch);
-        if self.use_presort {
-            let n_total = self.idx.len();
-            for f in 0..self.n_features {
-                let seg = &mut self.order[f * n_total + lo..f * n_total + hi];
-                let left = stable_partition(seg, &self.mask, &mut self.scratch);
-                debug_assert_eq!(left, left_n, "order column diverged from idx partition");
-            }
-        }
-        left_n
+        stable_partition(&mut self.idx[lo..hi], &self.mask, &mut self.scratch)
     }
 }
 
@@ -1054,23 +774,6 @@ mod tests {
         for (row, b) in x.iter().zip(&batch) {
             assert_eq!(*b, tree.predict_proba(row));
         }
-    }
-
-    #[test]
-    fn histogram_mode_learns_separable_data() {
-        let x: Vec<Vec<f32>> = (0..80).map(|i| vec![i as f32, (i % 3) as f32]).collect();
-        let y: Vec<bool> = (0..80).map(|i| i >= 40).collect();
-        let params = TreeParams {
-            max_features: MaxFeatures::All,
-            split_mode: SplitMode::Histogram { bins: 16 },
-            ..Default::default()
-        };
-        let a = DecisionTree::fit(&x, &y, &params, &mut rng());
-        let b = DecisionTree::fit(&x, &y, &params, &mut rng());
-        assert!(a.predict_proba(&[5.0, 0.0]) < 0.5);
-        assert!(a.predict_proba(&[70.0, 1.0]) > 0.5);
-        // Deterministic for a fixed seed.
-        assert_eq!(a.predict_proba(&[39.0, 2.0]), b.predict_proba(&[39.0, 2.0]));
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Equivalence suite for the columnar rewrite.
 //!
-//! The columnar presorted-CART path (`DecisionTree::fit_dataset`,
-//! `RandomForest::fit_dataset`) must produce *bit-identical* predictions
-//! to the legacy row-major implementation preserved in
-//! `jsdetect_ml::reference` — same splits, same thresholds, same leaf
-//! probabilities — for any fixed seed. These tests pin that, plus the
-//! deliberate per-tree seeding change, batch-vs-serial equality, thread
-//! invariance, and serde stability.
+//! The columnar path (`DecisionTree::fit_dataset`,
+//! `RandomForest::fit_dataset`), which orders each node's rows through a
+//! per-column value-rank table by a counting sort or a packed-rank sort,
+//! must produce *bit-identical* predictions to the legacy row-major
+//! implementation preserved in `jsdetect_ml::reference` — same splits,
+//! same thresholds, same leaf probabilities — for any fixed seed. These
+//! tests pin that (including fits taller than `u16::MAX` rows and
+//! single-tree forests), plus the deliberate per-tree seeding change,
+//! batch-vs-serial equality, thread invariance, and serde stability.
 
 use jsdetect_ml::reference::{RowMajorForest, RowMajorTree};
 use jsdetect_ml::{
-    Dataset, DatasetError, DecisionTree, ForestParams, MaxFeatures, RandomForest, SplitMode,
-    TreeParams,
+    Dataset, DatasetError, DecisionTree, ForestParams, MaxFeatures, RandomForest, TreeParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +76,6 @@ fn tree_matches_reference_under_shallow_and_strict_params() {
         min_samples_split: 10,
         min_samples_leaf: 5,
         max_features: MaxFeatures::Sqrt,
-        split_mode: SplitMode::Exact,
     };
     let old = RowMajorTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
     let new = DecisionTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
@@ -100,12 +100,11 @@ fn forest_matches_row_major_reference_exactly() {
     }
 }
 
-/// Wide matrices land in the subsampled √d regime, where the exact split
-/// search switches from maintained presorted arrays to per-node machinery:
-/// counting sorts over shared distinct-value rank tables (forests),
-/// rank-packed u32 sorts for high-cardinality columns, and packed-u64
-/// sorts when no rank table exists (standalone trees). All of them must
-/// still reproduce the row-major reference bit for bit.
+/// Wide matrices land in the subsampled √d regime with many columns per
+/// tree: quantized columns take the counting sort over value ranks, the
+/// high-cardinality ones the packed `(rank << 1) | label` sort, in
+/// standalone trees and forests alike. Both must reproduce the row-major
+/// reference bit for bit.
 #[test]
 fn wide_matrix_per_node_paths_match_reference_exactly() {
     let (x, y) = synthetic(220, 120, 41);
@@ -218,21 +217,56 @@ fn dataset_rejects_ragged_and_empty_input() {
     assert!(matches!(Dataset::from_rows(&ragged), Err(DatasetError::Ragged { row: 1, .. })));
 }
 
+/// Fits taller than `u16::MAX` rows carry value ranks past the 16-bit
+/// range through both per-node sorts: column 0 has about 67,000 distinct
+/// values (counting-sorted near the root, packed-rank-sorted below),
+/// column 1 is quantized, column 2 moderately distinct.
 #[test]
-fn histogram_mode_stays_close_to_exact_on_separable_data() {
-    let (x, y) = synthetic(300, 8, 29);
-    let exact = TreeParams { max_features: MaxFeatures::All, ..Default::default() };
-    let hist = TreeParams {
-        max_features: MaxFeatures::All,
-        split_mode: SplitMode::Histogram { bins: 64 },
-        ..Default::default()
-    };
-    let te = DecisionTree::fit(&x, &y, &exact, &mut StdRng::seed_from_u64(1));
-    let th = DecisionTree::fit(&x, &y, &hist, &mut StdRng::seed_from_u64(1));
-    let agree = x
-        .iter()
-        .zip(&y)
-        .filter(|(row, _)| (te.predict_proba(row) >= 0.5) == (th.predict_proba(row) >= 0.5))
-        .count();
-    assert!(agree as f64 / x.len() as f64 > 0.9, "{}/{} agree", agree, x.len());
+fn tall_matrix_matches_reference_exactly() {
+    let n = 70_000;
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut x = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let row = vec![
+            rng.gen_range(0..1_000_000) as f32,
+            rng.gen_range(0..6) as f32,
+            rng.gen_range(0..3_000) as f32 / 100.0,
+        ];
+        let noisy = rng.gen_range(0..10) == 0;
+        y.push((row[0] > 400_000.0) ^ (row[1] >= 3.0 && row[2] < 12.0) ^ noisy);
+        x.push(row);
+    }
+    for max_features in [MaxFeatures::All, MaxFeatures::Sqrt] {
+        let params = TreeParams { max_depth: 5, max_features, ..Default::default() };
+        let old = RowMajorTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(2));
+        let new = DecisionTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(2));
+        assert_eq!(old.node_count(), new.node_count(), "tall tree differs ({:?})", max_features);
+        for row in &x {
+            assert_eq!(old.predict_proba(row), new.predict_proba(row), "{:?}", max_features);
+        }
+    }
+    let tree = TreeParams { max_depth: 5, ..Default::default() };
+    let params = ForestParams { n_trees: 2, seed: 12, tree, ..Default::default() };
+    let old = RowMajorForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&x, &y, &params);
+    for row in &x {
+        let po = old.predict_proba(row);
+        let pn = new.predict_proba(row);
+        assert!(po == pn, "tall forest prediction differs: old {} vs new {}", po, pn);
+    }
+}
+
+/// A one-tree forest grows from the same shared rank table as larger ones.
+#[test]
+fn single_tree_forest_matches_reference_exactly() {
+    let (x, y) = synthetic(300, 10, 37);
+    for bootstrap in [true, false] {
+        let params = ForestParams { n_trees: 1, bootstrap, seed: 3, ..Default::default() };
+        let old = RowMajorForest::fit(&x, &y, &params);
+        let new = RandomForest::fit(&x, &y, &params);
+        for row in &x {
+            assert_eq!(old.predict_proba(row), new.predict_proba(row), "bootstrap {}", bootstrap);
+        }
+    }
 }

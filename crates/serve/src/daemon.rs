@@ -1,8 +1,8 @@
 //! The daemon core: bounded worker pool, watchdog, breaker, drain.
 //!
 //! Ownership layout: [`Daemon`] holds an `Arc<Shared>`; every worker
-//! thread and the watchdog hold clones. Workers pull [`Job`]s off the
-//! bounded queue; each job carries a single-shot [`Responder`], so the
+//! thread and the watchdog hold clones. Workers pull `Job`s off the
+//! bounded queue; each job carries a single-shot `Responder`, so the
 //! worker and the watchdog can race to answer it — whoever sends first
 //! wins, the loser's response is dropped. That single invariant ("every
 //! accepted job is answered exactly once, by somebody") is what the

@@ -579,18 +579,21 @@ mod tests {
 
     #[test]
     fn module_population_parses_as_modules() {
-        let pop = module_population(20, 11);
-        assert_eq!(pop.len(), 20);
-        let mut minified = 0usize;
-        for s in &pop {
-            let prog = jsdetect_parser::parse(&s.src)
-                .unwrap_or_else(|e| panic!("unparseable module script ({:?}):\n{}", e, s.src));
-            assert!(prog.module_goal(), "script lost its module goal:\n{}", s.src);
-            if s.is_transformed() {
-                minified += 1;
+        // (60, 42) is the population CI's conformance job scans.
+        for (n, seed) in [(20, 11), (60, 42)] {
+            let pop = module_population(n, seed);
+            assert_eq!(pop.len(), n);
+            let mut minified = 0usize;
+            for s in &pop {
+                let prog = jsdetect_parser::parse(&s.src)
+                    .unwrap_or_else(|e| panic!("unparseable module script ({:?}):\n{}", e, s.src));
+                assert!(prog.module_goal(), "script lost its module goal:\n{}", s.src);
+                if s.is_transformed() {
+                    minified += 1;
+                }
             }
+            assert!(minified >= 2, "expected some minified module bundles, got {}", minified);
         }
-        assert!(minified >= 2, "expected some minified module bundles, got {}", minified);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Persisted perf trajectory for the ML hot paths.
+//! Persisted perf trajectory for the measurements `benchmark/` does not make.
 //!
-//! Measures forest fit (legacy row-major vs columnar), forest
-//! inference (serial row-major vs flattened batch), front-end tokenization
-//! (zero-copy byte-level scanner vs the preserved char-level reference),
-//! and parallel script analysis at a fixed synthetic scale mirroring the
-//! default pipeline
-//! (level-2 training is ~1300 rows × ~317 features × 32 trees), then
-//! appends the numbers to `BENCH_ml.json` so the speedups are tracked
-//! across PRs instead of living in commit messages.
+//! Measures forest fit (legacy row-major vs columnar) and forest inference
+//! (serial row-major vs flattened batch) on a synthetic matrix shaped like
+//! the default pipeline's level-2 training set (~1300 rows × ~317 features
+//! × 32 trees), front-end tokenization (zero-copy byte-level scanner vs the
+//! preserved char-level reference), and the cost of streaming telemetry on
+//! batch analysis, then appends the numbers to `BENCH_ml.json` so the
+//! speedups are tracked across changes instead of living in commit
+//! messages. End-to-end scan, rescan and daemon throughput, with their
+//! per-layer split, are the `benchmark/` package's.
 //!
 //! Flags: `--smoke` (tiny scale, standalone output file for CI),
 //! `--out-file <path>` (default `BENCH_ml.json`), `--label <name>`
@@ -17,45 +18,35 @@
 //! (synthetic-data seed, default 42),
 //! `--scale <f64>` (multiplier on row/script counts, default 1.0).
 //!
-//! Each entry also records provenance (seed, scale, git SHA, feature-space
-//! version) and a per-stage telemetry breakdown of `analyze_many` captured
-//! through `jsdetect-obs`, so trajectory points are attributable and the
-//! analysis wall time can be decomposed without a profiler.
+//! Each stage records min/median/p90 over its repeats, and each entry
+//! records provenance (seed, scale, git SHA, feature-space version) and the
+//! machine (CPU model, available parallelism, `rustc -V`).
 
 use jsdetect::{analyze_many_opt_cached, AnalysisConfig, CachedScript};
-use jsdetect_cache::{preset_tag, AnalysisCache, CacheConfig};
-use jsdetect_experiments::{or_exit, IoError};
+use jsdetect_experiments::{or_exit, Args, IoError};
 use jsdetect_ml::reference::RowMajorForest;
 use jsdetect_ml::{Dataset, ForestParams, RandomForest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use serde_json::JsonValue;
 use std::time::Instant;
 
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct StageStat {
     name: String,
+    min_ms: f64,
     median_ms: f64,
+    /// Nearest-rank 90th percentile of the repeats.
+    p90_ms: f64,
+    /// Rows (or scripts) per second at the median.
     rows_per_sec: f64,
     repeats: usize,
 }
 
-/// One span path's share of the telemetry capture run.
-#[derive(Serialize, Deserialize, Clone)]
-struct TelemetryStage {
-    path: String,
-    count: u64,
-    total_ms: f64,
-    /// Interpolated per-call latency median, from the span's log2
-    /// histogram (absent in entries written by older tool versions).
-    p50_ms: Option<f64>,
-    /// Interpolated per-call 99th-percentile latency.
-    p99_ms: Option<f64>,
-}
-
 /// Cost of the always-on streaming telemetry: the same `analyze_many`
 /// batch with recording disabled vs enabled. CI gates `overhead_pct`.
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct ObsBench {
     n_scripts: usize,
     /// Median batch analysis with telemetry disabled.
@@ -70,65 +61,11 @@ struct ObsBench {
     trace_dropped: u64,
 }
 
-/// Warm-vs-cold comparison of the content-addressed analysis cache over
-/// the same synthetic script set: cold scans analyze and publish, warm
-/// scans replay verdicts off disk through a fresh handle (the
-/// incremental-rescan scenario).
-#[derive(Serialize, Deserialize, Clone)]
-struct CacheBench {
-    n_scripts: usize,
-    /// Limits preset the records were keyed under.
-    preset: String,
-    /// Feature-space version embedded in the records.
-    feature_version: u32,
-    /// Median cold scan: empty store, full analysis + record publish.
-    scan_cold_ms: f64,
-    /// Median warm scan: populated store, cold in-memory LRU, disk replay.
-    scan_warm_ms: f64,
-    /// scan_cold_ms / scan_warm_ms (higher = rescans are cheaper).
-    warm_speedup: f64,
-}
-
-/// Throughput and effect of the deobfuscation pass suite over an
-/// obfuscated copy of the synthetic script set: each rep parses and
-/// drives every script to its normalization fixpoint.
-#[derive(Serialize, Deserialize, Clone)]
-struct NormalizeBench {
-    n_scripts: usize,
-    /// Median full-suite run (parse + fixpoint) over all scripts.
-    normalize_ms: f64,
-    /// Total rewrites the suite performed across the script set.
-    rewrites_total: u64,
-    /// Total fixpoint rounds across the script set.
-    rounds_total: u64,
-    /// Scripts that ended `ok` (vs degraded) out of `n_scripts`.
-    n_ok: usize,
-}
-
-/// Syntax-coverage provenance: the guarded wild-preset pipeline over a
-/// module-flavoured population (ES-module bundles with import/export
-/// declarations, dynamic `import()`, `import.meta`, BigInt literals and
-/// private class members). The conformance gate requires `degraded_rate`
-/// to be exactly zero — a degraded module-bearing script means the
-/// front-end lost syntax coverage.
-#[derive(Serialize, Deserialize, Clone)]
-struct SyntaxBench {
-    n_scripts: usize,
-    /// Scripts whose parse carries the module goal (import/export
-    /// declarations present) — expected to equal `n_scripts`.
-    n_module_goal: usize,
-    n_ok: usize,
-    n_degraded: usize,
-    n_rejected: usize,
-    /// `n_degraded / n_scripts`; gated at 0 in CI.
-    degraded_rate: f64,
-}
-
 /// Front-end tokenization throughput: the zero-copy byte-level scanner
 /// against the preserved char-level reference lexer, over a realistic
 /// mixed corpus (regular scripts plus one variant per transformation
 /// technique).
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct LexBench {
     n_scripts: usize,
     /// Total source bytes lexed per rep.
@@ -147,23 +84,18 @@ struct LexBench {
     speedup_vs_reference: f64,
 }
 
-/// Per-stage decomposition of one instrumented `analyze_many` run. The
-/// child-span sum is expected to land within ~10% of the parent `analyze`
-/// total (the front-end stages cover nearly all of the per-script work).
-#[derive(Serialize, Deserialize, Clone)]
-struct TelemetryBreakdown {
-    stages: Vec<TelemetryStage>,
-    /// Total wall time inside `analyze` spans (all scripts, all threads).
-    analyze_total_ms: f64,
-    /// Sum over the direct `analyze/...` child spans.
-    stage_sum_ms: f64,
-    /// `stage_sum_ms / analyze_total_ms`.
-    stage_sum_ratio: f64,
+/// The machine an entry was measured on.
+#[derive(Serialize)]
+struct Machine {
+    /// `model name` from `/proc/cpuinfo` (Linux only).
+    cpu: Option<String>,
+    /// `std::thread::available_parallelism`.
+    cores: usize,
+    /// `rustc -V` of the toolchain on `PATH`.
+    rustc: Option<String>,
 }
 
-// Provenance and telemetry fields are Options so entries written by older
-// versions of this tool still deserialize from the committed trajectory.
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Serialize)]
 struct BenchEntry {
     label: String,
     smoke: bool,
@@ -176,27 +108,22 @@ struct BenchEntry {
     /// forest_predict_serial / forest_predict_batch.
     predict_speedup: f64,
     peak_rss_kb: Option<u64>,
-    seed: Option<u64>,
-    scale: Option<f64>,
+    seed: u64,
+    scale: f64,
     git_sha: Option<String>,
-    feature_space_version: Option<u32>,
-    telemetry: Option<TelemetryBreakdown>,
-    obs: Option<ObsBench>,
-    cache: Option<CacheBench>,
-    normalize: Option<NormalizeBench>,
-    lex: Option<LexBench>,
-    syntax: Option<SyntaxBench>,
+    feature_space_version: u32,
+    machine: Machine,
+    obs: ObsBench,
+    lex: LexBench,
 }
 
+/// The persisted trajectory. Entries stay opaque JSON, so entries written
+/// by older versions of this tool survive a rewrite unchanged whatever
+/// their fields.
 #[derive(Serialize, Deserialize)]
 struct BenchFile {
     description: String,
-    trajectory: Vec<BenchEntry>,
-    /// Headline numbers merged in by `normalization_study`; carried as
-    /// an opaque value so bench_report rewrites preserve it.
-    normalize: Option<serde_json::JsonValue>,
-    /// Daemon load-study numbers merged in by `load_study`; also opaque.
-    serve: Option<serde_json::JsonValue>,
+    trajectory: Vec<JsonValue>,
 }
 
 /// Synthetic matrix shaped like the default pipeline's level-2 training
@@ -222,28 +149,30 @@ fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<bool>) {
     (x, y)
 }
 
-/// Median wall time of `repeats` runs of `f`, in milliseconds.
-fn median_ms<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..repeats)
+/// Times `repeats` runs of `f` and summarizes them, with `rows` items per
+/// run.
+fn stage(name: &str, rows: usize, repeats: usize, mut f: impl FnMut()) -> StageStat {
+    let mut t: Vec<f64> = (0..repeats)
         .map(|_| {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
-
-fn stage(name: &str, rows: usize, repeats: usize, f: impl FnMut()) -> StageStat {
-    let ms = median_ms(repeats, f);
+    t.sort_by(f64::total_cmp);
+    let median_ms = t[t.len() / 2];
     let stat = StageStat {
         name: name.to_string(),
-        median_ms: ms,
-        rows_per_sec: rows as f64 / (ms / 1e3),
+        min_ms: t[0],
+        median_ms,
+        p90_ms: t[(t.len() * 9).div_ceil(10) - 1],
+        rows_per_sec: rows as f64 / (median_ms / 1e3),
         repeats,
     };
-    println!("  {:28} {:>10.1} ms   {:>12.0} rows/s", stat.name, stat.median_ms, stat.rows_per_sec);
+    println!(
+        "  {:24} {:>9.2} {:>9.2} {:>9.2} ms   {:>12.0} rows/s",
+        stat.name, stat.min_ms, stat.median_ms, stat.p90_ms, stat.rows_per_sec
+    );
     stat
 }
 
@@ -254,55 +183,34 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The storeless batch analysis the `analyze_many` stage and the telemetry
-/// passes time, under trusted limits.
+/// The storeless batch analysis the obs-overhead passes time, under
+/// trusted limits.
 fn analyze_storeless(refs: &[&str]) -> Vec<CachedScript> {
     analyze_many_opt_cached(refs, &AnalysisConfig::trusted(), None)
 }
 
-/// Short git commit SHA of the working tree, if available.
-fn git_sha() -> Option<String> {
-    let out = std::process::Command::new("git").args(["rev-parse", "--short", "HEAD"]).output();
-    match out {
-        Ok(o) if o.status.success() => {
-            Some(String::from_utf8_lossy(&o.stdout).trim().to_string()).filter(|s| !s.is_empty())
-        }
-        _ => None,
-    }
+/// Trimmed standard output of a successful command, if any.
+fn command_output(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program).args(args).output().ok()?;
+    let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
+    (out.status.success() && !text.is_empty()).then_some(text)
 }
 
-/// Runs one instrumented `analyze_many` pass and decomposes the `analyze`
-/// span into its per-stage children.
-fn capture_telemetry(refs: &[&str]) -> TelemetryBreakdown {
-    jsdetect_obs::set_enabled(true);
-    jsdetect_obs::reset();
-    std::hint::black_box(analyze_storeless(refs));
-    let snap = jsdetect_obs::snapshot();
-    jsdetect_obs::set_enabled(false);
+/// Short git commit SHA of the working tree, if available.
+fn git_sha() -> Option<String> {
+    command_output("git", &["rev-parse", "--short", "HEAD"])
+}
 
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut stages = Vec::new();
-    let mut analyze_total_ms = 0.0;
-    let mut stage_sum_ms = 0.0;
-    for s in &snap.spans {
-        if s.path == "analyze" {
-            analyze_total_ms = ms(s.total_ns);
-        }
-        if let Some(rest) = s.path.strip_prefix("analyze/") {
-            if !rest.contains('/') {
-                stage_sum_ms += ms(s.total_ns);
-            }
-        }
-        stages.push(TelemetryStage {
-            path: s.path.clone(),
-            count: s.count,
-            total_ms: ms(s.total_ns),
-            p50_ms: Some(s.latency.quantile_interp(0.5) / 1e6),
-            p99_ms: Some(s.latency.quantile_interp(0.99) / 1e6),
-        });
+fn machine() -> Machine {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        let line = s.lines().find(|l| l.starts_with("model name"))?;
+        Some(line.split_once(':')?.1.trim().to_string())
+    });
+    Machine {
+        cpu,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rustc: command_output("rustc", &["-V"]),
     }
-    let ratio = if analyze_total_ms > 0.0 { stage_sum_ms / analyze_total_ms } else { 0.0 };
-    TelemetryBreakdown { stages, analyze_total_ms, stage_sum_ms, stage_sum_ratio: ratio }
 }
 
 /// Measures the streaming-telemetry overhead on `analyze_many`. Disabled
@@ -330,7 +238,7 @@ fn obs_overhead(refs: &[&str], reps: usize) -> ObsBench {
     }
     jsdetect_obs::set_enabled(false);
     let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
     let (d, e) = (median(&mut disabled), median(&mut enabled));
@@ -344,9 +252,31 @@ fn obs_overhead(refs: &[&str], reps: usize) -> ObsBench {
     }
 }
 
+/// Reads the trajectory at `path`. A missing file starts a fresh one; a
+/// file that does not parse is an error, never a silent restart.
+fn load(path: &str) -> Result<BenchFile, IoError> {
+    let err = |op, e: &dyn std::fmt::Display| IoError { op, path: path.into(), msg: e.to_string() };
+    match std::fs::read_to_string(path) {
+        Ok(s) => serde_json::from_str(&s).map_err(|e| err("parse", &e)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(BenchFile { description: description(), trajectory: Vec::new() })
+        }
+        Err(e) => Err(err("read", &e)),
+    }
+}
+
+/// Drops any entry labelled `label` and appends `entry`, so re-runs under
+/// one label stay idempotent.
+fn upsert(trajectory: &mut Vec<JsonValue>, label: &str, entry: JsonValue) {
+    trajectory.retain(|e| !matches!(e.get("label"), Some(JsonValue::Str(l)) if l == label));
+    trajectory.push(entry);
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args { seed, scale, .. } = Args::parse();
     let smoke = argv.iter().any(|a| a == "--smoke");
+    let git_sha = git_sha();
     let flag = |name: &str| -> Option<String> {
         argv.iter().position(|a| a == name).and_then(|i| argv.get(i + 1).cloned())
     };
@@ -361,25 +291,29 @@ fn main() {
         if smoke {
             "smoke".to_string()
         } else {
-            git_sha().unwrap_or_else(|| "current".to_string())
+            git_sha.clone().unwrap_or_else(|| "current".to_string())
         }
     });
-
-    let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let scale: f64 = flag("--scale").and_then(|v| v.parse().ok()).unwrap_or(1.0);
-    assert!(scale > 0.0, "--scale must be positive");
 
     // Default pipeline scale: level-2 training is ~1300 samples × ~317
     // features with 32-tree forests.
     let (base_n, d, n_trees, fit_reps, pred_reps) =
-        if smoke { (160, 40, 8, 1, 2) } else { (1300, 317, 32, 3, 5) };
+        if smoke { (160, 40, 8, 3, 5) } else { (1300, 317, 32, 5, 9) };
     let n = ((base_n as f64 * scale) as usize).max(8);
     let (x, y) = synthetic(n, d, seed);
     let data = Dataset::from_rows(&x).expect("synthetic matrix");
     let params = ForestParams { n_trees, seed, ..Default::default() };
+    let machine = machine();
 
     println!("bench_report: {} rows × {} features, {} trees ({})", n, d, n_trees, label);
-    println!("  seed {} scale {} sha {}", seed, scale, git_sha().as_deref().unwrap_or("unknown"));
+    println!("  seed {} scale {} sha {}", seed, scale, git_sha.as_deref().unwrap_or("unknown"));
+    println!(
+        "  cpu {} ({} cores), {}",
+        machine.cpu.as_deref().unwrap_or("unknown"),
+        machine.cores,
+        machine.rustc.as_deref().unwrap_or("rustc unknown")
+    );
+    println!("  {:24} {:>9} {:>9} {:>9}", "stage", "min", "median", "p90");
     let mut stages = Vec::new();
 
     stages.push(stage("forest_fit_row_major", n, fit_reps, || {
@@ -398,85 +332,6 @@ fn main() {
     }));
     stages.push(stage("forest_predict_batch", n, pred_reps, || {
         std::hint::black_box(forest.predict_proba_batch(&data));
-    }));
-
-    // Analysis throughput (work-stealing over uneven script sizes).
-    let n_scripts = (((if smoke { 24 } else { 150 }) as f64 * scale) as usize).max(4);
-    let scripts: Vec<String> = (0..n_scripts)
-        .map(|i| {
-            let stmts = 5 + (i * 37) % 120;
-            (0..stmts).map(|s| format!("var v{}_{} = {} + f({});", i, s, s, s)).collect::<String>()
-        })
-        .collect();
-    let refs: Vec<&str> = scripts.iter().map(String::as_str).collect();
-    stages.push(stage("analyze_many", n_scripts, fit_reps, || {
-        std::hint::black_box(analyze_storeless(&refs));
-    }));
-
-    // Incremental-rescan cost: the same scripts through the content-
-    // addressed cache. Cold reps each get a fresh empty store (so every
-    // rep pays full analysis + publish); the warm stage replays a
-    // populated store through a fresh handle per rep, so the in-memory
-    // LRU starts cold and the replay comes off disk.
-    let config = AnalysisConfig::default();
-    let cache_base =
-        std::env::temp_dir().join(format!("bench-report-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_base);
-    let open_cache = |dir: &std::path::Path| {
-        AnalysisCache::open(CacheConfig::new(dir, &config.limits)).expect("open bench cache")
-    };
-    let mut cold_rep = 0u32;
-    stages.push(stage("scan_cold", n_scripts, fit_reps, || {
-        cold_rep += 1;
-        let cache = open_cache(&cache_base.join(format!("cold-{}", cold_rep)));
-        std::hint::black_box(analyze_many_opt_cached(&refs, &config, Some(&cache)));
-    }));
-    let warm_dir = cache_base.join("warm");
-    analyze_many_opt_cached(&refs, &config, Some(&open_cache(&warm_dir))); // populate, untimed
-    stages.push(stage("scan_warm", n_scripts, pred_reps, || {
-        let cache = open_cache(&warm_dir);
-        std::hint::black_box(analyze_many_opt_cached(&refs, &config, Some(&cache)));
-    }));
-    let _ = std::fs::remove_dir_all(&cache_base);
-
-    // Deobfuscation throughput: each rep parses an obfuscated script set
-    // and drives every script to its fixpoint. The analyze-stage scripts
-    // above carry no string literals or adjacent expression statements,
-    // so the transforms would no-op on them; this set is built to give
-    // the string-pool and sequence transforms something to chew on.
-    let obfuscated: Vec<String> = (0..n_scripts)
-        .map(|i| {
-            let stmts = 5 + (i * 37) % 120;
-            let decls: String =
-                (0..stmts).map(|s| format!("var a{}_{} = 'payload {} {}';", i, s, i, s)).collect();
-            let calls: String =
-                (0..stmts).map(|s| format!("use(a{}_{}, 'key {}');", i, s, s)).collect();
-            let src = decls + &calls;
-            let t = if i % 2 == 0 {
-                jsdetect::Technique::GlobalArray
-            } else {
-                jsdetect::Technique::MinificationAdvanced
-            };
-            jsdetect_transform::apply(&src, &[t], seed + i as u64).unwrap_or(src)
-        })
-        .collect();
-    let norm_opts = jsdetect_normalize::NormalizeOptions::wild();
-    let (mut rewrites_total, mut rounds_total, mut norm_ok) = (0u64, 0u64, 0usize);
-    stages.push(stage("normalize", n_scripts, fit_reps, || {
-        rewrites_total = 0;
-        rounds_total = 0;
-        norm_ok = 0;
-        for src in &obfuscated {
-            if let Ok(mut program) = jsdetect_parser::parse(src) {
-                let report = jsdetect_normalize::normalize_program(&mut program, &norm_opts);
-                rewrites_total += report.total_rewrites();
-                rounds_total += u64::from(report.rounds);
-                if report.outcome == jsdetect_guard::OutcomeKind::Ok {
-                    norm_ok += 1;
-                }
-                std::hint::black_box(&program);
-            }
-        }
     }));
 
     // Tokenization throughput, current scanner vs the preserved reference.
@@ -512,53 +367,21 @@ fn main() {
         }
     }));
 
-    // Syntax coverage: a module-flavoured wild population through the
-    // guarded wild-preset pipeline. Any degraded module script means the
-    // front-end lost ES-module coverage; CI gates the rate at zero.
-    let module_pop = jsdetect_corpus::module_population(if smoke { 12 } else { 60 }, seed);
-    let module_refs: Vec<&str> = module_pop.iter().map(|s| s.src.as_str()).collect();
-    let module_results = analyze_many_opt_cached(&module_refs, &AnalysisConfig::wild(), None);
-    let n_module_goal = module_pop
-        .iter()
-        .filter(|s| jsdetect_parser::parse(&s.src).map(|p| p.module_goal()).unwrap_or(false))
-        .count();
-    let count_outcome =
-        |k: jsdetect::OutcomeKind| module_results.iter().filter(|r| r.outcome == k).count();
-    let syntax_bench = SyntaxBench {
-        n_scripts: module_pop.len(),
-        n_module_goal,
-        n_ok: count_outcome(jsdetect::OutcomeKind::Ok),
-        n_degraded: count_outcome(jsdetect::OutcomeKind::Degraded),
-        n_rejected: count_outcome(jsdetect::OutcomeKind::Rejected),
-        degraded_rate: count_outcome(jsdetect::OutcomeKind::Degraded) as f64
-            / module_pop.len().max(1) as f64,
-    };
-
-    // One extra instrumented pass decomposes the analysis wall time into
-    // per-stage spans (the timed stage above ran with telemetry off).
-    let telemetry = capture_telemetry(&refs);
-
-    // Streaming-telemetry cost on the same batch; CI gates the result.
-    let obs_bench = obs_overhead(&refs, 7);
+    // Streaming-telemetry cost on batch analysis of uneven script sizes;
+    // CI gates the result.
+    let n_scripts = (((if smoke { 24 } else { 150 }) as f64 * scale) as usize).max(4);
+    let scripts: Vec<String> = (0..n_scripts)
+        .map(|i| {
+            let stmts = 5 + (i * 37) % 120;
+            (0..stmts).map(|s| format!("var v{}_{} = {} + f({});", i, s, s, s)).collect::<String>()
+        })
+        .collect();
+    let refs: Vec<&str> = scripts.iter().map(String::as_str).collect();
+    let obs = obs_overhead(&refs, 7);
 
     let ms_of = |name: &str| stages.iter().find(|s| s.name == name).map(|s| s.median_ms).unwrap();
-    let cache_bench = CacheBench {
-        n_scripts,
-        preset: preset_tag(&config.limits),
-        feature_version: jsdetect_features::FEATURE_SPACE_VERSION,
-        scan_cold_ms: ms_of("scan_cold"),
-        scan_warm_ms: ms_of("scan_warm"),
-        warm_speedup: ms_of("scan_cold") / ms_of("scan_warm"),
-    };
-    let normalize_bench = NormalizeBench {
-        n_scripts,
-        normalize_ms: ms_of("normalize"),
-        rewrites_total,
-        rounds_total,
-        n_ok: norm_ok,
-    };
     let lex_ms = ms_of("lex_throughput");
-    let lex_bench = LexBench {
+    let lex = LexBench {
         n_scripts: lex_corpus.len(),
         bytes_total: lex_bytes,
         tokens_total: lex_tokens,
@@ -569,7 +392,7 @@ fn main() {
         speedup_vs_reference: ms_of("lex_reference") / lex_ms,
     };
     let entry = BenchEntry {
-        label,
+        label: label.clone(),
         smoke,
         n_rows: n,
         n_features: d,
@@ -578,101 +401,44 @@ fn main() {
         predict_speedup: ms_of("forest_predict_serial") / ms_of("forest_predict_batch"),
         stages,
         peak_rss_kb: peak_rss_kb(),
-        seed: Some(seed),
-        scale: Some(scale),
-        git_sha: git_sha(),
-        feature_space_version: Some(jsdetect_features::FEATURE_SPACE_VERSION),
-        telemetry: Some(telemetry),
-        obs: Some(obs_bench),
-        cache: Some(cache_bench),
-        normalize: Some(normalize_bench),
-        lex: Some(lex_bench),
-        syntax: Some(syntax_bench),
+        seed,
+        scale,
+        git_sha,
+        feature_space_version: jsdetect_features::FEATURE_SPACE_VERSION,
+        machine,
+        obs,
+        lex,
     };
     println!(
         "\n  fit speedup    {:.2}x (row-major → columnar)\n  predict speedup {:.2}x (serial → batch)",
         entry.fit_speedup, entry.predict_speedup
     );
-    if let Some(o) = &entry.obs {
-        println!(
-            "  obs overhead   {:+.1}% (disabled {:.2} ms → enabled {:.2} ms; {} trace events, {} dropped)",
-            o.overhead_pct, o.analyze_disabled_ms, o.analyze_enabled_ms, o.trace_events, o.trace_dropped
-        );
-    }
-    if let Some(c) = &entry.cache {
-        println!(
-            "  warm rescan    {:.2}x (cold {:.1} ms → warm {:.1} ms, preset {}, fv {})",
-            c.warm_speedup, c.scan_cold_ms, c.scan_warm_ms, c.preset, c.feature_version
-        );
-    }
-    if let Some(nb) = &entry.normalize {
-        println!(
-            "  normalize      {:.1} ms for {} scripts ({} rewrites, {} rounds, {} ok)",
-            nb.normalize_ms, nb.n_scripts, nb.rewrites_total, nb.rounds_total, nb.n_ok
-        );
-    }
-    if let Some(l) = &entry.lex {
-        println!(
-            "  lex throughput {:.1} MB/s, {:.2}M tokens/s ({:.2}x vs reference: {:.1} ms → {:.1} ms over {:.2} MB)",
-            l.mb_per_sec,
-            l.tokens_per_sec / 1e6,
-            l.speedup_vs_reference,
-            l.reference_ms,
-            l.lex_ms,
-            l.bytes_total as f64 / 1e6
-        );
-    }
-    if let Some(s) = &entry.syntax {
-        println!(
-            "  module syntax  {} scripts ({} module-goal): {} ok, {} degraded, {} rejected (degraded rate {:.4})",
-            s.n_scripts, s.n_module_goal, s.n_ok, s.n_degraded, s.n_rejected, s.degraded_rate
-        );
-    }
-    if let Some(t) = &entry.telemetry {
-        println!("\n  analyze stage breakdown (one instrumented pass):");
-        for s in &t.stages {
-            if s.path.starts_with("analyze/") {
-                println!(
-                    "    {:24} {:>9.2} ms  ({} spans, p50 {:.3} ms, p99 {:.3} ms)",
-                    s.path,
-                    s.total_ms,
-                    s.count,
-                    s.p50_ms.unwrap_or(0.0),
-                    s.p99_ms.unwrap_or(0.0)
-                );
-            }
-        }
-        println!(
-            "    stage sum {:.2} ms / analyze total {:.2} ms = {:.1}%",
-            t.stage_sum_ms,
-            t.analyze_total_ms,
-            t.stage_sum_ratio * 100.0
-        );
-    }
+    let o = &entry.obs;
+    println!(
+        "  obs overhead   {:+.1}% (disabled {:.2} ms → enabled {:.2} ms; {} trace events, {} dropped)",
+        o.overhead_pct, o.analyze_disabled_ms, o.analyze_enabled_ms, o.trace_events, o.trace_dropped
+    );
+    let l = &entry.lex;
+    println!(
+        "  lex throughput {:.1} MB/s, {:.2}M tokens/s ({:.2}x vs reference: {:.1} ms → {:.1} ms over {:.2} MB)",
+        l.mb_per_sec,
+        l.tokens_per_sec / 1e6,
+        l.speedup_vs_reference,
+        l.reference_ms,
+        l.lex_ms,
+        l.bytes_total as f64 / 1e6
+    );
 
-    // Append to (or start) the persisted trajectory; same-label entries
-    // are replaced so re-runs stay idempotent. Smoke runs write a
+    // Append to (or start) the persisted trajectory. Smoke runs write a
     // standalone file and never touch the committed trajectory.
     let mut file = if smoke {
-        BenchFile {
-            description: smoke_description(),
-            trajectory: Vec::new(),
-            normalize: None,
-            serve: None,
-        }
+        BenchFile { description: smoke_description(), trajectory: Vec::new() }
     } else {
-        std::fs::read_to_string(&out_file)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_else(|| BenchFile {
-                description: description(),
-                trajectory: Vec::new(),
-                normalize: None,
-                serve: None,
-            })
+        let mut file = or_exit(load(&out_file));
+        file.description = description();
+        file
     };
-    file.trajectory.retain(|e| e.label != entry.label);
-    file.trajectory.push(entry);
+    upsert(&mut file.trajectory, &label, entry.to_value());
     if let Some(dir) = std::path::Path::new(&out_file).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).ok();
@@ -692,9 +458,11 @@ fn main() {
 }
 
 fn description() -> String {
-    "ML hot-path perf trajectory: forest fit/predict and parallel analysis, \
-     measured by crates/experiments/src/bin/bench_report.rs at the default \
-     pipeline scale. One entry per tracked change; medians in milliseconds."
+    "Perf trajectory of what benchmark/ does not measure: forest fit/predict, \
+     tokenization against the reference lexer, and the streaming-telemetry \
+     overhead, measured by crates/experiments/src/bin/bench_report.rs. One \
+     entry per tracked change; times in milliseconds. Older entries also \
+     carry end-to-end stages and blocks that benchmark/ now measures."
         .to_string()
 }
 
@@ -702,4 +470,79 @@ fn smoke_description() -> String {
     "Smoke-scale bench_report output (CI bitrot check only — numbers are not \
      meaningful at this scale)."
         .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An entry as an older version of this tool wrote it, with blocks the
+    /// current entry no longer has.
+    const OLD: &str = r#"{
+      "description": "old",
+      "trajectory": [
+        {"label": "old", "smoke": false, "peak_rss_kb": 52000, "seed": null,
+         "stages": [{"name": "analyze_many", "median_ms": 2.0150770000000002, "repeats": 5}],
+         "telemetry": {"stages": [], "stage_sum_ratio": 0.97},
+         "cache": {"preset": "wild", "warm_speedup": 54.6},
+         "syntax": {"n_scripts": 60, "degraded_rate": 0.0}},
+        {"label": "other", "smoke": false}
+      ],
+      "serve": {"n_requests": 516}
+    }"#;
+
+    fn parse(s: &str) -> Result<BenchFile, serde_json::Error> {
+        serde_json::from_str(s)
+    }
+
+    fn label_of(e: &JsonValue) -> &str {
+        match e.get("label") {
+            Some(JsonValue::Str(l)) => l,
+            _ => panic!("entry without a label"),
+        }
+    }
+
+    #[test]
+    fn unparseable_file_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("bench-report-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_ml.json");
+        let path = path.to_str().unwrap();
+        assert!(load(path).unwrap().trajectory.is_empty(), "a missing file starts fresh");
+        for bad in
+            ["{\"description\": \"d\", \"trajectory\": [", "not json", "{\"description\": \"d\"}"]
+        {
+            std::fs::write(path, bad).unwrap();
+            let e = load(path).err().unwrap_or_else(|| panic!("{:?} loaded", bad));
+            assert_eq!(e.op, "parse");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn old_entries_round_trip_unchanged() {
+        let before = parse(OLD).unwrap();
+        let mut file = parse(OLD).unwrap();
+        let new = JsonValue::Obj(vec![("label".to_string(), JsonValue::Str("new".to_string()))]);
+        upsert(&mut file.trajectory, "new", new.clone());
+        let text = serde_json::to_string_pretty(&file).unwrap();
+        let after = parse(&text).unwrap();
+        assert_eq!(after.trajectory[..2], before.trajectory[..]);
+        assert_eq!(after.trajectory[2], new);
+        let root: JsonValue = serde_json::from_str(&text).unwrap();
+        assert!(root.get("serve").is_none(), "top-level side blocks are not carried");
+    }
+
+    #[test]
+    fn same_label_entry_is_replaced() {
+        let mut file = parse(OLD).unwrap();
+        let new = JsonValue::Obj(vec![
+            ("label".to_string(), JsonValue::Str("old".to_string())),
+            ("smoke".to_string(), JsonValue::Bool(true)),
+        ]);
+        upsert(&mut file.trajectory, "old", new.clone());
+        let labels: Vec<&str> = file.trajectory.iter().map(label_of).collect();
+        assert_eq!(labels, ["other", "old"]);
+        assert_eq!(file.trajectory[1], new);
+    }
 }

@@ -11,17 +11,13 @@
 //! techniques it does not touch (identifier renaming, flattening
 //! dispatchers) should hold steady — a built-in control.
 //!
-//! Results land in `results/normalization_study.json`, and a compact
-//! `normalize` provenance block is merged into `BENCH_ml.json` (top
-//! level, next to the perf trajectory) so the study's headline numbers
-//! travel with the benchmark history.
+//! Results land in `results/normalization_study.json`.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args, IoError};
+use jsdetect_experiments::{classify, or_exit, train_cached, write_json, Args};
 use jsdetect_guard::Limits;
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use serde::Serialize;
-use serde_json::JsonValue;
 
 #[derive(Serialize, Clone, Copy)]
 struct Prf {
@@ -173,67 +169,4 @@ fn main() {
     println!("\n  mean |dF1| across techniques: {:.3}", result.mean_abs_delta_f1);
 
     or_exit(write_json(&args, "normalization_study", &result));
-    or_exit(merge_bench_provenance(&result));
-}
-
-/// Merges a compact `normalize` block into the top level of
-/// `BENCH_ml.json`, preserving everything else in the file (the perf
-/// trajectory deserializer ignores unknown keys, so the block rides
-/// along harmlessly).
-fn merge_bench_provenance(result: &StudyResult) -> Result<(), IoError> {
-    let path = std::path::Path::new("BENCH_ml.json");
-    let mut root: JsonValue = match std::fs::read_to_string(path) {
-        Ok(s) => serde_json::from_str(&s).map_err(|e| IoError {
-            op: "parse",
-            path: path.into(),
-            msg: e.to_string(),
-        })?,
-        Err(_) => JsonValue::Obj(Vec::new()),
-    };
-    let block = BenchProvenance {
-        n_scripts: result.n_scripts,
-        rewrites_total: result.rewrites_total,
-        mean_abs_delta_f1: result.mean_abs_delta_f1,
-        seed: result.seed,
-        scale: result.scale,
-        feature_space_version: result.feature_space_version,
-        source: "crates/experiments/src/bin/normalization_study.rs".to_string(),
-    }
-    .to_value();
-    match &mut root {
-        JsonValue::Obj(entries) => {
-            entries.retain(|(k, _)| k != "normalize");
-            entries.push(("normalize".to_string(), block));
-        }
-        _ => {
-            return Err(IoError {
-                op: "update",
-                path: path.into(),
-                msg: "BENCH_ml.json is not a JSON object".to_string(),
-            })
-        }
-    }
-    let json = serde_json::to_string_pretty(&root).map_err(|e| IoError {
-        op: "serialize",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    std::fs::write(path, json).map_err(|e| IoError {
-        op: "write",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    eprintln!("[experiments] merged normalize provenance into {}", path.display());
-    Ok(())
-}
-
-#[derive(Serialize)]
-struct BenchProvenance {
-    n_scripts: usize,
-    rewrites_total: u64,
-    mean_abs_delta_f1: f64,
-    seed: u64,
-    scale: f64,
-    feature_space_version: u32,
-    source: String,
 }

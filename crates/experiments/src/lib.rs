@@ -69,32 +69,49 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `--scale`, `--seed`, and `--out` from `std::env::args`.
+    /// Parses `--scale`, `--seed`, and `--out` from `std::env::args`,
+    /// exiting 2 with a message when a value is missing or malformed.
     pub fn parse() -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse_from(&argv).unwrap_or_else(|e| {
+            eprintln!("[experiments] {}", e);
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `--scale`, `--seed`, and `--out` from `argv` (the arguments
+    /// after the program name). Other arguments are left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A flag without a value, a seed that is not a `u64`, or a scale that
+    /// is not a finite positive number — running the defaults instead
+    /// would write results under the wrong seed or scale.
+    pub fn parse_from(argv: &[String]) -> Result<Args, String> {
         let mut args = Args { scale: 1.0, seed: 42, out_dir: PathBuf::from("results") };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            if !matches!(flag.as_str(), "--scale" | "--seed" | "--out") {
+                continue;
+            }
+            let v = it.next().ok_or_else(|| format!("{} needs a value", flag))?;
+            match flag.as_str() {
                 "--scale" => {
-                    i += 1;
-                    args.scale = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or(1.0);
+                    args.scale = v
+                        .parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .ok_or_else(|| format!("--scale {:?}: want a positive number", v))?;
                 }
                 "--seed" => {
-                    i += 1;
-                    args.seed = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or(42);
+                    args.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed {:?}: want an unsigned integer", v))?;
                 }
-                "--out" => {
-                    i += 1;
-                    if let Some(v) = argv.get(i) {
-                        args.out_dir = PathBuf::from(v);
-                    }
-                }
-                _ => {}
+                _ => args.out_dir = PathBuf::from(v),
             }
-            i += 1;
         }
-        args
+        Ok(args)
     }
 
     /// Scales a base count.
@@ -269,6 +286,35 @@ mod tests {
         assert_eq!(args.scaled(100), 50);
         assert_eq!(args.scaled(1), 4, "minimum floor");
         assert_eq!(args.n_train(), BASE_TRAIN_SCRIPTS / 2);
+    }
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        Args::parse_from(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_from_reads_flags_and_skips_others() {
+        let a = parse(&["--smoke", "--seed", "7", "--scale", "0.5", "--out", "o"]).unwrap();
+        assert_eq!((a.seed, a.scale, a.out_dir), (7, 0.5, PathBuf::from("o")));
+        let d = parse(&[]).unwrap();
+        assert_eq!((d.seed, d.scale, d.out_dir), (42, 1.0, PathBuf::from("results")));
+    }
+
+    #[test]
+    fn parse_from_rejects_malformed_values() {
+        for argv in [
+            &["--seed", "abc"][..],
+            &["--seed", "-1"],
+            &["--seed"],
+            &["--scale", "0,5"],
+            &["--scale", "0"],
+            &["--scale", "-2"],
+            &["--scale", "NaN"],
+            &["--scale", "inf"],
+            &["--out"],
+        ] {
+            assert!(parse(argv).is_err(), "{:?} parsed", argv);
+        }
     }
 
     #[test]
